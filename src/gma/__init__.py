@@ -13,9 +13,7 @@ from .arrays import (ArrayConfig, ChannelVector, Path, PathSet,
                      channel_vector, max_sparsity, sparse_steering, steering)
 from .baselines import (MaLayout, exhaustive_search, fpa_metric,
                         gma_element_positions, ma_optimize)
-from .combining import (Combiner, LinkPowers, interference_covariance,
-                        mmse_combiner, mrc_snr, objective_metric, sinr,
-                        sum_rate)
+from .combining import LinkPowers, mrc_snr, objective_metric
 from .experiments import (LandscapeResult, TrialRecord, landscape,
                           run_compare, run_sweep)
 from .multiuser import grid_position_search, optimize_multiuser, sparsity_search
@@ -25,14 +23,13 @@ from .sca import (optimize_position_sca, optimize_single_user,
                   optimize_sparsity, path_matrix, phase_vector)
 
 __all__ = [
-    "ArrayConfig", "ChannelVector", "Combiner", "GmaSolution", "GridSpec",
+    "ArrayConfig", "ChannelVector", "GmaSolution", "GridSpec",
     "LandscapeResult", "LinkPowers", "MaLayout", "OptimizerSettings", "Path",
     "PathSet", "Scenario", "ScenarioParams", "TrialRecord", "channel_vector",
     "exhaustive_search", "fpa_metric", "gma_element_positions",
-    "grid_position_search", "interference_covariance", "landscape",
-    "ma_optimize", "max_sparsity", "mmse_combiner", "mrc_snr",
-    "objective_metric", "optimize_multiuser", "optimize_position_sca",
-    "optimize_single_user", "optimize_sparsity", "path_matrix",
-    "phase_vector", "run_compare", "run_sweep", "sample_scenario", "sinr",
-    "sparse_steering", "sparsity_search", "steering", "sum_rate",
+    "grid_position_search", "landscape", "ma_optimize", "max_sparsity",
+    "mrc_snr", "objective_metric", "optimize_multiuser",
+    "optimize_position_sca", "optimize_single_user", "optimize_sparsity",
+    "path_matrix", "phase_vector", "run_compare", "run_sweep",
+    "sample_scenario", "sparse_steering", "sparsity_search", "steering",
 ]

@@ -51,6 +51,9 @@ class ArrayConfig:
         confine_aperture: if True, also require the top selected element to
             stay below y_max (y + (N-1)*eta*d <= y_max). The default follows
             the problem statement and constrains the reference element only.
+            position_bounds applies it, feasible_etas derives the admissible
+            levels from those bounds, and multiuser.scan gives each distinct
+            interval its own grid.
     """
 
     M: int
@@ -124,6 +127,18 @@ class ArrayConfig:
         if self.confine_aperture:
             return self.y_min, self.y_max - self.sparse_aperture(eta)
         return self.y_min, self.y_max
+
+    def feasible_etas(self, y: float | None = None) -> list[int]:
+        """Sparsity levels whose admissible position interval is non-empty.
+
+        With y given, only the levels whose interval contains y.
+        """
+        out = []
+        for eta in range(1, self.eta_max + 1):
+            lo, hi = self.position_bounds(eta)
+            if (lo <= hi) if y is None else (lo <= y <= hi):
+                out.append(eta)
+        return out
 
     def validate_position(self, y: float, eta: int) -> float:
         y = float(y)
@@ -250,17 +265,21 @@ def sparse_steering_matrix(eta: int, aoas: np.ndarray, cfg: ArrayConfig) -> np.n
     return np.exp(1j * phase)
 
 
+def path_phases(y_values, aoas: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
+    """Position phases exp(1j*2*pi/wavelength * y * sin(aoa)), shape (B, L).
+
+    Row b holds every path's phase at y_values[b]. The table does not depend
+    on the sparsity level, so dense (y, eta) scans compute it once and reuse
+    it for every eta.
+    """
+    return np.exp(1j * (2.0 * np.pi / cfg.wavelength)
+                  * np.outer(y_values, np.sin(aoas)))
+
+
 def gain_weighted_shifts(y_values: np.ndarray, paths: PathSet,
                          cfg: ArrayConfig) -> np.ndarray:
-    """Per-path gain times position phase for a batch of positions, (B, L).
-
-    This table does not depend on the sparsity level, so dense (y, eta)
-    scans compute it once and reuse it for every eta.
-    """
-    y_values = np.asarray(y_values, dtype=np.float64)
-    shifts = np.exp(1j * (2.0 * np.pi / cfg.wavelength)
-                    * np.outer(y_values, np.sin(paths.aoas)))
-    return shifts * paths.gains
+    """Per-path gain times position phase for a batch of positions, (B, L)."""
+    return path_phases(y_values, paths.aoas, cfg) * paths.gains
 
 
 def channel_profile(y_values: np.ndarray, eta: int, paths: PathSet,

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig
-from .combining import LinkPowers, batch_objective, metric_profiles, objective_metric
-from .multiuser import feasible_sparsity_levels
+from .arrays import ArrayConfig, path_phases
+from .combining import LinkPowers, batch_objective, objective_metric
+from .multiuser import scan
 from .optim import GridSpec, OptimizerSettings, position_grid
 from .sca import path_matrix
 
@@ -143,6 +143,10 @@ def _coordinate_ascent(positions, users, powers, cfg, grid, settings,
         for n in range(pos.size):
             lo_n = pos[n - 1] + gap if n > 0 else lo
             hi_n = pos[n + 1] - gap if n < pos.size - 1 else hi
+            if hi_n < lo_n:
+                # neighbors at the minimum spacing leave no room, and
+                # rounding can put hi_n an ulp below lo_n: keep the antenna
+                continue
             pos[n], val = _slot_scan(pos, n, lo_n, hi_n, step, val,
                                      users, powers, cfg, grid)
         if val - prev <= settings.epsilon * abs(prev):
@@ -177,27 +181,13 @@ def exhaustive_search(users, powers: LinkPowers, cfg: ArrayConfig,
     """
     if not fine_step > 0:
         raise ValueError(f"grid step must be positive, got {fine_step}")
-    feas = feasible_sparsity_levels(cfg)
+    feas = cfg.feasible_etas()
     if not feas:
         raise ValueError("movable region admits no feasible sparsity level")
     if powers.K == 1:
         return _exhaustive_single_user(users[0], float(powers.p_bar[0]),
                                        cfg, fine_step, feas)
-    best_val, best_y, best_eta = -np.inf, None, None
-    if not cfg.confine_aperture:
-        pts = position_grid(cfg.y_min, cfg.y_max, fine_step)
-        for eta, vals in metric_profiles(pts, feas, users, powers, cfg):
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val, best_y, best_eta = float(vals[i]), float(pts[i]), eta
-    else:
-        for eta in feas:
-            lo, hi = cfg.position_bounds(eta)
-            pts = position_grid(lo, hi, fine_step)
-            _, vals = next(iter(metric_profiles(pts, [eta], users, powers, cfg)))
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val, best_y, best_eta = float(vals[i]), float(pts[i]), eta
+    best_val, best_y, best_eta, _ = scan(feas, fine_step, users, powers, cfg)
     return best_y, best_eta, best_val
 
 
@@ -211,8 +201,7 @@ def _exhaustive_single_user(paths, p_bar, cfg, fine_step, feas):
     match the channel-norm route to floating-point accuracy, not bit-exactly.
     """
     pts = position_grid(cfg.y_min, cfg.y_max, fine_step)
-    W = np.exp(1j * (2.0 * np.pi / cfg.wavelength)
-               * np.outer(pts, np.sin(paths.aoas)))
+    W = path_phases(pts, paths.aoas, cfg)
     L = paths.L
     pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
     # cap the cached pair tables at ~64 MB; fall back to a plain quadratic

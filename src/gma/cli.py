@@ -120,6 +120,8 @@ def main(argv=None) -> int:
     try:
         params, settings, grid, exp = _setup(args)
         trials = int(exp.get("seeds", 1))
+        if trials < 1:
+            raise ConfigError(f"seeds must be at least 1, got {trials}")
         out = args.out if args.out is not None else f"gma_{args.command.replace('-', '_')}.csv"
         meta_extra = {"command": args.command, "trials": trials,
                       "master_seed": params.seed}

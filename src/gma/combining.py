@@ -1,10 +1,15 @@
-"""Optimal receive combining and SINR / sum-rate evaluation.
+"""SNR / sum-rate evaluation under optimal receive combining.
 
 All powers enter as per-user ratios p_bar = P / sigma^2 (linear). For a
 single user the optimal combiner is maximal-ratio combining and the metric
-is the SNR p_bar*||h||^2; with interference it is the MMSE combiner
-C^-1 h / ||C^-1 h|| built from the interference-plus-noise covariance
-C = I + sum_{i != k} p_bar_i h_i h_i^H.
+is the SNR p_bar*||h||^2; with interference the optimal combiner is the
+MMSE one and the metric is the sum rate of the post-MMSE SINRs.
+
+The package evaluates every candidate through one batched kernel,
+batch_sinr, which reads all users' SINRs off one factorization per
+candidate. The per-user MMSE combiner, built one interference covariance
+at a time, lives in tests/util.py as the independent reference that the
+tests check this kernel against.
 """
 
 from __future__ import annotations
@@ -12,13 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .arrays import (ArrayConfig, channel_entries, channel_profile,
-                     channel_vector, gain_weighted_shifts,
-                     sparse_steering_matrix)
+                     gain_weighted_shifts, sparse_steering_matrix)
 
-_UNIT_NORM_TOL = 1e-12
+_CHUNK = 1 << 16  # positions per batch_sinr call in metric_profiles
 
 
 def noise_power_dbm(n0_dbm_hz: float = -174.0, bandwidth_hz: float = 1e6) -> float:
@@ -65,23 +68,6 @@ class LinkPowers:
         return self.p_bar.size
 
 
-@dataclass(frozen=True)
-class Combiner:
-    """Unit-norm receive combining vector."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.complex128).copy()
-        if w.ndim != 1:
-            raise ValueError("combiner weights must be a 1-D vector")
-        norm = np.linalg.norm(w)
-        if abs(norm - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError(f"combiner must be unit-norm, got ||w|| = {norm}")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-
 def mrc_snr(h, p_bar: float) -> float:
     """SNR after maximal-ratio combining: p_bar * ||h||^2."""
     h = channel_entries(h)
@@ -91,96 +77,15 @@ def mrc_snr(h, p_bar: float) -> float:
     return p_bar * float(np.sum(np.abs(h) ** 2))
 
 
-def interference_covariance(k: int, channels, powers: LinkPowers) -> np.ndarray:
-    """Interference-plus-noise covariance of user k (identity-normalized noise).
-
-    C_k = I + sum_{i != k} p_bar_i h_i h_i^H, Hermitian positive definite.
-    """
-    hs = [channel_entries(h) for h in channels]
-    if len(hs) != powers.K:
-        raise ValueError(f"got {len(hs)} channels for {powers.K} users")
-    if not 0 <= k < len(hs):
-        raise ValueError(f"user index {k} out of range")
-    n = hs[0].size
-    if any(h.size != n for h in hs):
-        raise ValueError("all channels must have the same length")
-    cov = np.eye(n, dtype=np.complex128)
-    for i, h in enumerate(hs):
-        if i != k:
-            cov += powers.p_bar[i] * np.outer(h, h.conj())
-    return cov
-
-
-def mmse_combiner(h_k, C_k: np.ndarray) -> Combiner:
-    """SINR-maximizing unit-norm combiner C_k^-1 h_k / ||C_k^-1 h_k||.
-
-    Solves the Hermitian positive-definite system by Cholesky factorization
-    instead of forming the inverse.
-    """
-    h = channel_entries(h_k)
-    if np.linalg.norm(h) == 0.0:
-        raise ValueError("combiner undefined for an all-zero channel")
-    x = cho_solve(cho_factor(C_k, lower=True), h)
-    return Combiner(weights=x / np.linalg.norm(x))
-
-
-def combiner_sinr(v, h_k, C_k: np.ndarray, p_bar_k: float) -> float:
-    """SINR achieved by an arbitrary combiner v (generalized Rayleigh quotient).
-
-    p_bar_k * |v^H h_k|^2 / (v^H C_k v); v need not be normalized since the
-    quotient is scale-invariant.
-    """
-    v = np.asarray(v.weights if isinstance(v, Combiner) else v, dtype=np.complex128)
-    h = channel_entries(h_k)
-    num = p_bar_k * np.abs(np.vdot(v, h)) ** 2
-    den = np.real(np.vdot(v, C_k @ v))
-    return float(num / den)
-
-
-def sinr(k: int, y: float, eta: int, users, powers: LinkPowers,
-         cfg: ArrayConfig) -> float:
-    """Post-MMSE SINR of user k at candidate (y, eta).
-
-    Equals p_bar_k * h_k^H C_k^-1 h_k, the maximum of the Rayleigh quotient
-    over unit-norm combiners.
-    """
-    channels = [channel_vector(y, eta, u, cfg) for u in users]
-    return _sinr_from_channels(k, channels, powers)
-
-
-def sum_rate(y: float, eta: int, users, powers: LinkPowers,
-             cfg: ArrayConfig) -> float:
-    """Achievable sum rate sum_k log2(1 + sinr_k) in bits/s/Hz at (y, eta)."""
-    channels = [channel_vector(y, eta, u, cfg) for u in users]
-    gammas = [_sinr_from_channels(k, channels, powers)
-              for k in range(len(channels))]
-    return float(np.sum(np.log2(1.0 + np.asarray(gammas))))
-
-
-def _sinr_from_channels(k: int, channels, powers: LinkPowers) -> float:
-    hs = [channel_entries(h) for h in channels]
-    if len(hs) != powers.K:
-        raise ValueError(f"got {len(hs)} channels for {powers.K} users")
-    h_k = hs[k]
-    p_k = powers.p_bar[k]
-    if p_k == 0.0 or np.linalg.norm(h_k) == 0.0:
-        return 0.0
-    if len(hs) == 1:
-        return mrc_snr(h_k, p_k)
-    cov = interference_covariance(k, hs, powers)
-    x = cho_solve(cho_factor(cov, lower=True), h_k)
-    return float(p_k * np.real(np.vdot(h_k, x)))
-
-
 # -- batched evaluation ------------------------------------------------------
 #
-# Grid searches evaluate the metric at thousands of candidates; doing that
-# one covariance at a time is the bottleneck. The batched path factors the
-# total covariance S = I + sum_i p_i h_i h_i^H once per candidate and reads
-# every user's SINR off it: with u_k = h_k^H S^-1 h_k,
-# gamma_k = p_k u_k / (1 - p_k u_k). It agrees with the per-user path to
-# machine precision (see tests) and is used consistently inside optimizers
-# so that stored objectives re-evaluate bit-identically.
+# Grid searches evaluate the metric at thousands of candidates, so the one
+# kernel factors the total covariance S = I + sum_i p_i h_i h_i^H once per
+# candidate and reads every user's SINR off it: with u_k = h_k^H S^-1 h_k,
+# gamma_k = p_k u_k / (1 - p_k u_k). The tests check it against the
+# per-user Cholesky reference in tests/util.py. Optimizers use it for every
+# value they compare or store, so stored objectives re-evaluate
+# bit-identically.
 
 def batch_sinr(H: np.ndarray, powers: LinkPowers) -> np.ndarray:
     """Per-user SINRs for a batch of channel stacks.
@@ -226,8 +131,7 @@ def channel_stack(y_values: np.ndarray, eta: int, users, cfg: ArrayConfig) -> np
     return np.stack([channel_profile(y_values, eta, u, cfg) for u in users], axis=1)
 
 
-def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
-                    chunk: int = 1 << 16):
+def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig):
     """Yield (eta, metric array over y_values) for each requested eta.
 
     The gain-weighted phase tables are sparsity-independent and computed
@@ -241,8 +145,8 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
     for eta in etas:
         abars = [sparse_steering_matrix(eta, u.aoas, cfg) for u in users]
         vals = np.empty(y_values.size)
-        for start in range(0, y_values.size, chunk):
-            sl = slice(start, min(start + chunk, y_values.size))
+        for start in range(0, y_values.size, _CHUNK):
+            sl = slice(start, min(start + _CHUNK, y_values.size))
             H = np.stack([t[sl] @ ab for t, ab in zip(tables, abars)], axis=1)
             vals[sl] = batch_objective(H, powers)
         yield eta, vals

@@ -22,7 +22,7 @@ from .arrays import ArrayConfig
 from .baselines import (exhaustive_search, fpa_metric, gma_element_positions,
                         layout_metric, ma_optimize)
 from .combining import metric_profiles, objective_metric
-from .multiuser import feasible_sparsity_levels, optimize_multiuser
+from .multiuser import optimize_multiuser
 from .optim import GridSpec, OptimizerSettings, position_grid
 from .scenario import (PATH_GAIN_MODEL, RNG_SCHEME, Scenario, ScenarioParams,
                        sample_scenario)
@@ -66,7 +66,7 @@ def landscape(scenario: Scenario, y_grid=None, eta_set=None,
     else:
         y_grid = np.asarray(y_grid, dtype=np.float64)
     if eta_set is None:
-        eta_set = feasible_sparsity_levels(cfg)
+        eta_set = cfg.feasible_etas()
     eta_set = [cfg.validate_eta(e) for e in eta_set]
     if len(eta_set) == 0 or y_grid.size == 0:
         raise ValueError("landscape needs non-empty grids")

@@ -23,14 +23,29 @@ from .combining import LinkPowers, metric_profiles, objective_metric
 from .optim import GmaSolution, GridSpec, OptimizerSettings, position_grid
 
 
-def feasible_sparsity_levels(cfg: ArrayConfig) -> list[int]:
-    """Sparsity levels with a non-empty admissible position interval."""
-    out = []
-    for eta in range(1, cfg.eta_max + 1):
-        lo, hi = cfg.position_bounds(eta)
-        if lo <= hi:
-            out.append(eta)
-    return out
+def scan(etas, step: float, users, powers: LinkPowers,
+         cfg: ArrayConfig) -> tuple[float, float, int, int]:
+    """Lattice maximum over the levels etas and their position grids.
+
+    Level eta is scanned on position_grid(*cfg.position_bounds(eta), step).
+    Levels with the same bounds share one grid and one metric_profiles pass,
+    so without confine_aperture the whole lattice is a single pass. Ties go
+    to the earlier level in etas, then to the smaller grid index.
+
+    Returns (value, y, eta, evals).
+    """
+    groups: dict[tuple[float, float], list[int]] = {}
+    for eta in etas:
+        groups.setdefault(cfg.position_bounds(eta), []).append(eta)
+    best_val, best_y, best_eta, evals = -np.inf, None, None, 0
+    for bounds, levels in groups.items():
+        pts = position_grid(*bounds, step)
+        for eta, vals in metric_profiles(pts, levels, users, powers, cfg):
+            evals += pts.size
+            i = int(np.argmax(vals))
+            if vals[i] > best_val:
+                best_val, best_y, best_eta = float(vals[i]), float(pts[i]), eta
+    return best_val, best_y, best_eta, evals
 
 
 def grid_position_search(eta: int, users, powers: LinkPowers, cfg: ArrayConfig,
@@ -39,24 +54,18 @@ def grid_position_search(eta: int, users, powers: LinkPowers, cfg: ArrayConfig,
 
     Returns (y_star, metric). Ties go to the smallest grid index.
     """
-    eta = cfg.validate_eta(eta)
-    lo, hi = cfg.position_bounds(eta)
-    if lo > hi:
+    if cfg.validate_eta(eta) not in cfg.feasible_etas():
         raise ValueError(f"no admissible position at sparsity {eta}")
     step = grid.resolve_step(cfg.wavelength)
-    pts = position_grid(lo, hi, step)
-    _, vals = next(iter(metric_profiles(pts, [eta], users, powers, cfg)))
-    i = int(np.argmax(vals))
-    y, val, _ = _refine_position(float(pts[i]), float(vals[i]), eta, step,
-                                 users, powers, cfg, grid)
+    val, y, _, _ = scan([eta], step, users, powers, cfg)
+    y, val, _ = _refine_position(y, val, eta, step, users, powers, cfg, grid)
     return y, val
 
 
 def sparsity_search(y: float, users, powers: LinkPowers,
                     cfg: ArrayConfig) -> tuple[int, float]:
     """Best sparsity level at a fixed position; ties go to the smaller eta."""
-    etas = [eta for eta in feasible_sparsity_levels(cfg)
-            if cfg.position_bounds(eta)[0] <= y <= cfg.position_bounds(eta)[1]]
+    etas = cfg.feasible_etas(y)
     if not etas:
         raise ValueError(f"no feasible sparsity level at y = {y}")
     best_eta, best_val = etas[0], -np.inf
@@ -87,35 +96,15 @@ def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
     """
     if len(users) != powers.K:
         raise ValueError(f"got {len(users)} users for {powers.K} powers")
-    feas = feasible_sparsity_levels(cfg)
+    feas = cfg.feasible_etas()
     if not feas:
         raise ValueError("movable region admits no feasible sparsity level")
     step = grid.resolve_step(cfg.wavelength)
-    evals = 0
-    best_val, best_y, best_eta = -np.inf, None, None
+    best_val, best_y, best_eta, evals = scan(feas, step, users, powers, cfg)
 
-    uniform_bounds = not cfg.confine_aperture
-    if uniform_bounds:
-        pts = position_grid(cfg.y_min, cfg.y_max, step)
-        for eta, vals in metric_profiles(pts, feas, users, powers, cfg):
-            evals += pts.size
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val, best_y, best_eta = float(vals[i]), float(pts[i]), eta
-    else:
-        for eta in feas:
-            lo, hi = cfg.position_bounds(eta)
-            pts = position_grid(lo, hi, step)
-            _, vals = next(iter(metric_profiles(pts, [eta], users, powers, cfg)))
-            evals += pts.size
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val, best_y, best_eta = float(vals[i]), float(pts[i]), eta
-
-    shortlist: list[tuple[float, int]] = []
-    lo1, hi1 = cfg.position_bounds(1)
-    if lo1 <= hi1:
-        shortlist.append((lo1, 1))  # the fixed-array baseline configuration
+    # the fixed-array baseline configuration; eta = 1 is feasible whenever
+    # any level is
+    shortlist: list[tuple[float, int]] = [(cfg.y_min, 1)]
     for y_c, eta_c in extra_candidates:
         eta_c = cfg.validate_eta(eta_c)
         y_c = cfg.validate_position(y_c, eta_c)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, PathSet, sparse_steering_matrix
+from .arrays import ArrayConfig, PathSet, path_phases, sparse_steering_matrix
 from .optim import GmaSolution, OptimizerSettings, position_grid
 
 
@@ -39,8 +39,7 @@ def snr_profile(y_values, eta: int, paths: PathSet, cfg: ArrayConfig,
     y_values = np.atleast_1d(np.asarray(y_values, dtype=np.float64))
     A = path_matrix(eta, paths, cfg)
     Q = A.conj().T @ A
-    W = np.exp(1j * (2.0 * np.pi / cfg.wavelength)
-               * np.outer(y_values, np.sin(paths.aoas)))
+    W = path_phases(y_values, paths.aoas, cfg)
     return p_bar * np.einsum("bi,ij,bj->b", W.conj(), Q, W).real
 
 
@@ -156,23 +155,13 @@ def optimize_sparsity(y: float, paths: PathSet, cfg: ArrayConfig
                       ) -> tuple[int, float]:
     """Exhaustive sparsity search at fixed y; ties go to the smaller eta."""
     best_eta, best_val = None, -np.inf
-    for eta in feasible_sparsities(y, cfg):
+    for eta in cfg.feasible_etas(y):
         val = float(snr_profile(np.array([y]), eta, paths, cfg)[0])
         if val > best_val:
             best_eta, best_val = eta, val
     if best_eta is None:
         raise ValueError(f"no feasible sparsity level at y = {y}")
     return best_eta, best_val
-
-
-def feasible_sparsities(y: float, cfg: ArrayConfig) -> list[int]:
-    """Sparsity levels whose admissible position interval contains y."""
-    out = []
-    for eta in range(1, cfg.eta_max + 1):
-        lo, hi = cfg.position_bounds(eta)
-        if lo <= y <= hi:
-            out.append(eta)
-    return out
 
 
 def optimize_single_user(paths: PathSet, settings: OptimizerSettings,
@@ -190,7 +179,7 @@ def optimize_single_user(paths: PathSet, settings: OptimizerSettings,
     the sparsity at the new position. Rounds stop when the fractional
     objective increase drops below settings.epsilon.
     """
-    feasible = feasible_sparsities_for_region(cfg)
+    feasible = cfg.feasible_etas()
     if not feasible:
         raise ValueError("movable region admits no feasible sparsity level")
     step = (settings.multistart_grid_step if settings.multistart_grid_step is not None
@@ -239,7 +228,7 @@ def optimize_single_user(paths: PathSet, settings: OptimizerSettings,
         evals += len(sca_trace)
         sca_iters.append(len(sca_trace) - 1)
         eta_r, obj_full = optimize_sparsity(y_r, paths, cfg)
-        evals += len(feasible_sparsities(y_r, cfg))
+        evals += len(cfg.feasible_etas(y_r))
         if obj_full > best_val:
             best_val, best_y, best_eta = obj_full, y_r, eta_r
         trace.append(best_val)
@@ -256,9 +245,3 @@ def optimize_single_user(paths: PathSet, settings: OptimizerSettings,
         rounds=rounds,
         sca_iters=tuple(sca_iters),
     )
-
-
-def feasible_sparsities_for_region(cfg: ArrayConfig) -> list[int]:
-    """Sparsity levels whose admissible position interval is non-empty."""
-    return [e for e in range(1, cfg.eta_max + 1)
-            if cfg.position_bounds(e)[0] <= cfg.position_bounds(e)[1]]

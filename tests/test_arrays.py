@@ -78,6 +78,25 @@ class TestArrayConfig:
         cfg = make_cfg(M=16, N=4)
         assert cfg.position_bounds(5) == (cfg.y_min, cfg.y_max)
 
+    @given(seed=st.integers(0, 10 ** 6), confine=st.booleans())
+    def test_feasible_etas_match_their_definition(self, seed, confine):
+        r = np.random.default_rng(seed)
+        cfg = make_cfg(M=int(r.integers(4, 40)), N=4,
+                       span_wavelengths=r.uniform(0.0, 20.0),
+                       confine_aperture=confine)
+        bounds = {e: cfg.position_bounds(e) for e in range(1, cfg.eta_max + 1)}
+        assert cfg.feasible_etas() == [e for e, (lo, hi) in bounds.items()
+                                       if lo <= hi]
+        span = cfg.y_max - cfg.y_min
+        ys = np.concatenate([r.uniform(cfg.y_min - span, cfg.y_max + span, 20),
+                             [cfg.y_min, cfg.y_max]])
+        for y in ys:
+            assert cfg.feasible_etas(y) == [e for e, (lo, hi) in bounds.items()
+                                            if lo <= y <= hi]
+        # below and above the region: outside every level's interval
+        assert cfg.feasible_etas(cfg.y_min - 1e-3) == []
+        assert cfg.feasible_etas(cfg.y_max + 1e-3) == []
+
 
 class TestSparseSteering:
     def test_broadside_is_all_ones(self, cfg_small):

@@ -5,11 +5,13 @@ from gma.arrays import ArrayConfig, PathSet
 from gma.baselines import (MaLayout, exhaustive_search, fpa_metric,
                            gma_element_positions, layout_metric, ma_optimize,
                            ma_span)
-from gma.combining import LinkPowers, objective_metric, sum_rate
+from gma.combining import LinkPowers, objective_metric
+from gma.experiments import run_trial_schemes
 from gma.multiuser import optimize_multiuser
 from gma.optim import GridSpec, OptimizerSettings, position_grid
+from gma.scenario import ScenarioParams, sample_scenario
 
-from util import WAVELENGTH, make_cfg, random_paths
+from util import WAVELENGTH, make_cfg, random_paths, sum_rate
 
 
 def seeded_instance(seed, K=3, L=3, span_wavelengths=15.0, M=16):
@@ -118,6 +120,20 @@ class TestMaOptimize:
         cfg, users, powers = seeded_instance(21)
         layout, metric = ma_optimize(users, powers, cfg)
         assert metric == layout_metric(layout.positions, users, powers, cfg)
+
+    @pytest.mark.parametrize("params,trial", [
+        (ScenarioParams(seed=10, M=32, region=(0.0, 31 * ScenarioParams().d)), 0),
+        (ScenarioParams(seed=645123796), 15),
+    ])
+    def test_warm_start_at_minimum_spacing(self, params, trial):
+        # the GMA solution at eta = 1 puts every antenna at the minimum
+        # spacing from its neighbors; rounding used to leave a slot with an
+        # empty interval, and the scan of that slot raised
+        scenario = sample_scenario(params, trial)
+        gma, ma = run_trial_schemes(scenario, ("gma", "ma"), OptimizerSettings(),
+                                    GridSpec())
+        assert gma.eta_star == 1
+        assert ma.metric >= gma.metric
 
     def test_rejects_infeasible_start(self, cfg_small, rng):
         users = [random_paths(rng, L=2)]

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gma.arrays import PathSet, channel_vector
-from gma.combining import (Combiner, LinkPowers, batch_objective, batch_sinr,
-                           batch_sum_rate, channel_stack, combiner_sinr,
-                           interference_covariance, metric_profiles,
-                           mmse_combiner, mrc_snr, noise_power_dbm,
-                           objective_metric, sinr, sum_rate)
+from gma.combining import (LinkPowers, batch_objective, batch_sinr,
+                           batch_sum_rate, channel_stack, metric_profiles,
+                           mrc_snr, noise_power_dbm, objective_metric)
 
-from util import make_cfg, random_paths, sherman_morrison_sinr
+from util import (Combiner, combiner_sinr, interference_covariance, make_cfg,
+                  mmse_combiner, random_paths, sherman_morrison_sinr, sinr,
+                  sum_rate)
 
 
 def random_channels(rng, K, N=4, scale=1.0):

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from gma.arrays import ArrayConfig, PathSet
-from gma.combining import LinkPowers, objective_metric, sum_rate
-from gma.multiuser import (feasible_sparsity_levels, grid_position_search,
-                           optimize_multiuser, sparsity_search)
+from gma.baselines import exhaustive_search
+from gma.combining import LinkPowers, metric_profiles, objective_metric
+from gma.multiuser import (grid_position_search, optimize_multiuser, scan,
+                           sparsity_search)
 from gma.optim import GridSpec, OptimizerSettings, position_grid
+from gma.sca import optimize_single_user
 
-from util import WAVELENGTH, make_cfg, random_paths
+from util import WAVELENGTH, make_cfg, random_paths, sum_rate
 
 SETTINGS = OptimizerSettings()
 
@@ -19,6 +21,56 @@ def seeded_instance(seed, K=5, L=3, span_wavelengths=20.0, M=16):
     users = [random_paths(rng, L=L) for _ in range(K)]
     powers = LinkPowers(p_bar=rng.uniform(0.5, 4.0, K))
     return cfg, users, powers
+
+
+class TestScan:
+    @pytest.mark.parametrize("confine", [True, False])
+    def test_matches_per_level_loop_bitwise(self, confine):
+        rng = np.random.default_rng(5)
+        cfg = make_cfg(M=16, N=4, span_wavelengths=6.0, confine_aperture=confine)
+        users = [random_paths(rng, L=3) for _ in range(3)]
+        powers = LinkPowers(p_bar=rng.uniform(0.5, 4.0, 3))
+        step = WAVELENGTH / 16
+        etas = cfg.feasible_etas()
+        best, evals = (-np.inf, None, None), 0
+        for eta in etas:
+            pts = position_grid(*cfg.position_bounds(eta), step)
+            _, vals = next(metric_profiles(pts, [eta], users, powers, cfg))
+            evals += pts.size
+            i = int(np.argmax(vals))
+            if vals[i] > best[0]:
+                best = (float(vals[i]), float(pts[i]), eta)
+        assert scan(etas, step, users, powers, cfg) == (*best, evals)
+
+    @pytest.mark.parametrize("confine", [True, False])
+    def test_ties_go_to_first_level_then_first_point(self, confine):
+        # broadside paths make the lattice flat to the last bit
+        cfg = make_cfg(M=16, N=4, span_wavelengths=6.0, confine_aperture=confine)
+        users = [PathSet(gains=np.array([g + 0j]), aoas=np.array([0.0]))
+                 for g in (1.0, 0.7)]
+        powers = LinkPowers(p_bar=np.array([2.0, 1.0]))
+        etas = cfg.feasible_etas()
+        _, y, eta, _ = scan(etas, WAVELENGTH / 16, users, powers, cfg)
+        assert (y, eta) == (cfg.y_min, etas[0])
+        _, y, eta, _ = scan(etas[::-1], WAVELENGTH / 16, users, powers, cfg)
+        assert (y, eta) == (cfg.y_min, etas[-1])
+
+
+class TestConfinedAperture:
+    def test_solutions_stay_inside_their_level_bounds(self):
+        cfg = make_cfg(M=16, N=4, span_wavelengths=8.0, confine_aperture=True)
+        step = WAVELENGTH / 32
+        for seed in range(3):
+            _, users, powers = seeded_instance(seed, K=3)
+            single = LinkPowers(p_bar=powers.p_bar[:1])
+            sol = optimize_multiuser(users, powers, cfg)
+            sca = optimize_single_user(users[0], SETTINGS, cfg)
+            found = [(sol.y_star, sol.eta_star), (sca.y_star, sca.eta_star),
+                     exhaustive_search(users, powers, cfg, step)[:2],
+                     exhaustive_search(users[:1], single, cfg, step)[:2]]
+            for y, eta in found:
+                lo, hi = cfg.position_bounds(eta)
+                assert lo <= y <= hi, (seed, y, eta)
 
 
 class TestGridPositionSearch:
@@ -70,7 +122,7 @@ class TestSparsitySearch:
         y = 0.013
         eta, val = sparsity_search(y, users, powers, cfg)
         vals = [sum_rate(y, e, users, powers, cfg)
-                for e in feasible_sparsity_levels(cfg)]
+                for e in cfg.feasible_etas()]
         assert eta == int(np.argmax(vals)) + 1
         np.testing.assert_allclose(val, max(vals), rtol=1e-9)
 

@@ -1,12 +1,22 @@
-"""Shared builders and independent hand-computed oracles for the tests."""
+"""Shared builders and independent hand-computed oracles for the tests.
+
+The per-user MMSE path below (one interference covariance and one Cholesky
+solve per user) is the reference the package's batched kernel is checked
+against; no package code calls it.
+"""
 
 import cmath
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
-from gma.arrays import ArrayConfig, PathSet, wavelength_from_frequency
+from gma.arrays import (ArrayConfig, PathSet, channel_entries, channel_vector,
+                        wavelength_from_frequency)
+from gma.combining import LinkPowers, mrc_snr
 
 WAVELENGTH = wavelength_from_frequency(28e9)
+_UNIT_NORM_TOL = 1e-12
 
 
 def make_cfg(M=16, N=4, span_wavelengths=20.0, y_min=0.0, **kwargs):
@@ -77,3 +87,101 @@ def sherman_morrison_sinr(p1, h1, p2, h2):
     cross = np.vdot(h2, h1)
     return p1 * (np.vdot(h1, h1).real
                  - p2 * abs(cross) ** 2 / (1.0 + p2 * np.vdot(h2, h2).real))
+
+
+@dataclass(frozen=True)
+class Combiner:
+    """Unit-norm receive combining vector."""
+
+    weights: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=np.complex128).copy()
+        if w.ndim != 1:
+            raise ValueError("combiner weights must be a 1-D vector")
+        norm = np.linalg.norm(w)
+        if abs(norm - 1.0) > _UNIT_NORM_TOL:
+            raise ValueError(f"combiner must be unit-norm, got ||w|| = {norm}")
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
+
+
+def interference_covariance(k: int, channels, powers: LinkPowers) -> np.ndarray:
+    """Interference-plus-noise covariance of user k (identity-normalized noise).
+
+    C_k = I + sum_{i != k} p_bar_i h_i h_i^H, Hermitian positive definite.
+    """
+    hs = [channel_entries(h) for h in channels]
+    if len(hs) != powers.K:
+        raise ValueError(f"got {len(hs)} channels for {powers.K} users")
+    if not 0 <= k < len(hs):
+        raise ValueError(f"user index {k} out of range")
+    n = hs[0].size
+    if any(h.size != n for h in hs):
+        raise ValueError("all channels must have the same length")
+    cov = np.eye(n, dtype=np.complex128)
+    for i, h in enumerate(hs):
+        if i != k:
+            cov += powers.p_bar[i] * np.outer(h, h.conj())
+    return cov
+
+
+def mmse_combiner(h_k, C_k: np.ndarray) -> Combiner:
+    """SINR-maximizing unit-norm combiner C_k^-1 h_k / ||C_k^-1 h_k||.
+
+    Solves the Hermitian positive-definite system by Cholesky factorization
+    instead of forming the inverse.
+    """
+    h = channel_entries(h_k)
+    if np.linalg.norm(h) == 0.0:
+        raise ValueError("combiner undefined for an all-zero channel")
+    x = cho_solve(cho_factor(C_k, lower=True), h)
+    return Combiner(weights=x / np.linalg.norm(x))
+
+
+def combiner_sinr(v, h_k, C_k: np.ndarray, p_bar_k: float) -> float:
+    """SINR achieved by an arbitrary combiner v (generalized Rayleigh quotient).
+
+    p_bar_k * |v^H h_k|^2 / (v^H C_k v); v need not be normalized since the
+    quotient is scale-invariant.
+    """
+    v = np.asarray(v.weights if isinstance(v, Combiner) else v, dtype=np.complex128)
+    h = channel_entries(h_k)
+    num = p_bar_k * np.abs(np.vdot(v, h)) ** 2
+    den = np.real(np.vdot(v, C_k @ v))
+    return float(num / den)
+
+
+def sinr(k: int, y: float, eta: int, users, powers: LinkPowers,
+         cfg: ArrayConfig) -> float:
+    """Post-MMSE SINR of user k at candidate (y, eta).
+
+    Equals p_bar_k * h_k^H C_k^-1 h_k, the maximum of the Rayleigh quotient
+    over unit-norm combiners.
+    """
+    channels = [channel_vector(y, eta, u, cfg) for u in users]
+    return _sinr_from_channels(k, channels, powers)
+
+
+def sum_rate(y: float, eta: int, users, powers: LinkPowers,
+             cfg: ArrayConfig) -> float:
+    """Achievable sum rate sum_k log2(1 + sinr_k) in bits/s/Hz at (y, eta)."""
+    channels = [channel_vector(y, eta, u, cfg) for u in users]
+    gammas = [_sinr_from_channels(k, channels, powers)
+              for k in range(len(channels))]
+    return float(np.sum(np.log2(1.0 + np.asarray(gammas))))
+
+
+def _sinr_from_channels(k: int, channels, powers: LinkPowers) -> float:
+    hs = [channel_entries(h) for h in channels]
+    if len(hs) != powers.K:
+        raise ValueError(f"got {len(hs)} channels for {powers.K} users")
+    h_k = hs[k]
+    p_k = powers.p_bar[k]
+    if p_k == 0.0 or np.linalg.norm(h_k) == 0.0:
+        return 0.0
+    if len(hs) == 1:
+        return mrc_snr(h_k, p_k)
+    cov = interference_covariance(k, hs, powers)
+    x = cho_solve(cho_factor(cov, lower=True), h_k)
+    return float(p_k * np.real(np.vdot(h_k, x)))
