@@ -279,7 +279,13 @@ def path_phases(y_values, aoas: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
 def gain_weighted_shifts(y_values: np.ndarray, paths: PathSet,
                          cfg: ArrayConfig) -> np.ndarray:
     """Per-path gain times position phase for a batch of positions, (B, L)."""
-    return path_phases(y_values, paths.aoas, cfg) * paths.gains
+    # real arithmetic: numpy's complex multiply rounds a one-entry product
+    # (B = L = 1) in another loop than a longer one
+    phases, gains = path_phases(y_values, paths.aoas, cfg), paths.gains
+    out = np.empty(phases.shape, dtype=np.complex128)
+    out.real = phases.real * gains.real - phases.imag * gains.imag
+    out.imag = phases.real * gains.imag + phases.imag * gains.real
+    return out
 
 
 def channel_profile(y_values: np.ndarray, eta: int, paths: PathSet,
@@ -289,8 +295,22 @@ def channel_profile(y_values: np.ndarray, eta: int, paths: PathSet,
     Row b holds the channel at (y_values[b], eta). Positions are not
     range-checked here; grid builders only produce in-region values.
     """
-    abar = sparse_steering_matrix(eta, paths.aoas, cfg)  # (L, N)
-    return gain_weighted_shifts(y_values, paths, cfg) @ abar
+    return sum_paths(gain_weighted_shifts(y_values, paths, cfg),
+                     sparse_steering_matrix(eta, paths.aoas, cfg))
+
+
+def sum_paths(shifts: np.ndarray, abar: np.ndarray) -> np.ndarray:
+    """Channels (B, N) from gain-weighted shifts (B, L) and steering rows (L, N).
+
+    Adds the paths one at a time (each product spans N >= 2 entries), so row
+    b gets the same bits in every batch; a BLAS matmul's summation order
+    changes with the batch shape. Returns the transpose of an (N, B) array:
+    batch_sinr runs faster with the batch axis fastest.
+    """
+    acc = abar[0][:, None] * shifts[:, 0]
+    for row, weights in zip(abar[1:], shifts.T[1:]):
+        acc += row[:, None] * weights
+    return acc.T
 
 
 def _as_int(value, name: str) -> int:

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields, replace
 
 import numpy as np
 
+from .arrays import _as_int
 from .experiments import (landscape, run_compare, run_metadata, run_sweep,
                           write_landscape_csv, write_metadata,
                           write_records_csv)
@@ -102,6 +104,22 @@ def _setup(args):
     return params, settings, grid, exp
 
 
+def _experiment_values(exp: dict) -> tuple[int, int, float | None]:
+    """Checked (seeds, ma_restarts, oracle_step) from the experiment section."""
+    trials = _as_int(exp.get("seeds", 1), "seeds")
+    if trials < 1:
+        raise ConfigError(f"seeds must be at least 1, got {trials}")
+    restarts = _as_int(exp.get("ma_restarts", 0), "ma_restarts")
+    if restarts < 0:
+        raise ConfigError(f"ma_restarts must be at least 0, got {restarts}")
+    step = exp.get("oracle_step")
+    if step is not None and not (type(step) in (int, float)
+                                 and math.isfinite(step) and step > 0):
+        raise ConfigError(
+            f"oracle_step must be a finite number above 0, got {step!r}")
+    return trials, restarts, step
+
+
 def _force_single_user(params: ScenarioParams) -> ScenarioParams:
     p = np.atleast_1d(np.asarray(params.p_tx_dbm, dtype=np.float64))
     return replace(params, K=1, p_tx_dbm=float(p[0]))
@@ -119,9 +137,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params, settings, grid, exp = _setup(args)
-        trials = int(exp.get("seeds", 1))
-        if trials < 1:
-            raise ConfigError(f"seeds must be at least 1, got {trials}")
+        trials, ma_restarts, oracle_step = _experiment_values(exp)
         out = args.out if args.out is not None else f"gma_{args.command.replace('-', '_')}.csv"
         meta_extra = {"command": args.command, "trials": trials,
                       "master_seed": params.seed}
@@ -161,9 +177,9 @@ def main(argv=None) -> int:
             default_schemes = ("gma", "fpa", "ma")
         schemes = tuple(exp.get("schemes", default_schemes))
         records = run_compare(params, settings, grid, trials, schemes=schemes,
-                              oracle_step=exp.get("oracle_step"),
+                              oracle_step=oracle_step,
                               single_user_sca=single_user_sca,
-                              ma_restarts=int(exp.get("ma_restarts", 0)))
+                              ma_restarts=ma_restarts)
         write_records_csv(records, out)
         write_metadata(out, run_metadata(params, settings, grid, meta_extra))
         _print_scheme_means(records)

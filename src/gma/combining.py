@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import (ArrayConfig, channel_entries, channel_profile,
-                     gain_weighted_shifts, sparse_steering_matrix)
+                     gain_weighted_shifts, sparse_steering_matrix, sum_paths)
 
-_CHUNK = 1 << 16  # positions per batch_sinr call in metric_profiles
+_CHUNK = 1 << 11  # positions per batch_sinr call: its arrays stay in cache
 
 
 def noise_power_dbm(n0_dbm_hz: float = -174.0, bandwidth_hz: float = 1e6) -> float:
@@ -83,9 +83,9 @@ def mrc_snr(h, p_bar: float) -> float:
 # kernel factors the total covariance S = I + sum_i p_i h_i h_i^H once per
 # candidate and reads every user's SINR off it: with u_k = h_k^H S^-1 h_k,
 # gamma_k = p_k u_k / (1 - p_k u_k). The tests check it against the
-# per-user Cholesky reference in tests/util.py. Optimizers use it for every
-# value they compare or store, so stored objectives re-evaluate
-# bit-identically.
+# per-user Cholesky reference in tests/util.py. A (y, eta) value does not
+# depend on its batch (arrays.sum_paths builds each channel row alone), so
+# optimizers store scan values and they re-evaluate bit-identically.
 
 def batch_sinr(H: np.ndarray, powers: LinkPowers) -> np.ndarray:
     """Per-user SINRs for a batch of channel stacks.
@@ -104,7 +104,9 @@ def batch_sinr(H: np.ndarray, powers: LinkPowers) -> np.ndarray:
     p = powers.p_bar
     B, K, N = H.shape
     if K == 1:
-        return p[0] * np.sum(np.abs(H[:, 0, :]) ** 2, axis=1)[:, None]
+        # C order: each row then sums the same way, whatever H's layout
+        power = np.ascontiguousarray(np.abs(H[:, 0, :]) ** 2)
+        return p[0] * power.sum(axis=1)[:, None]
     S = np.broadcast_to(np.eye(N, dtype=np.complex128), (B, N, N)).copy()
     S += np.einsum("bkn,bkm->bnm", H * p[None, :, None], H.conj())
     X = np.linalg.solve(S, H.transpose(0, 2, 1))  # column k holds S^-1 h_k
@@ -135,10 +137,9 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig)
     """Yield (eta, metric array over y_values) for each requested eta.
 
     The gain-weighted phase tables are sparsity-independent and computed
-    once, so dense (y, eta) scans pay only one matmul plus the combining
-    math per eta. Values agree with objective_metric to floating-point
-    accuracy but not bitwise (BLAS kernels differ across batch shapes), so
-    optimizers canonicalize anything they store through objective_metric.
+    once, so dense (y, eta) scans pay only the path sum plus the combining
+    math per eta. A (y, eta) value does not depend on its batch: each entry
+    equals objective_metric at that point.
     """
     y_values = np.asarray(y_values, dtype=np.float64)
     tables = [gain_weighted_shifts(y_values, u, cfg) for u in users]
@@ -147,7 +148,7 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig)
         vals = np.empty(y_values.size)
         for start in range(0, y_values.size, _CHUNK):
             sl = slice(start, min(start + _CHUNK, y_values.size))
-            H = np.stack([t[sl] @ ab for t, ab in zip(tables, abars)], axis=1)
+            H = np.stack([sum_paths(t[sl], ab) for t, ab in zip(tables, abars)], axis=1)
             vals[sl] = batch_objective(H, powers)
         yield eta, vals
 
@@ -156,8 +157,8 @@ def objective_metric(y: float, eta: int, users, powers: LinkPowers,
                      cfg: ArrayConfig) -> float:
     """Single-point metric (SNR for K=1, sum rate otherwise).
 
-    This is the canonical evaluation: deterministic, so a stored value
-    re-evaluates bit-identically from its (y, eta) and scenario.
+    Validates (y, eta). A (y, eta) value does not depend on its batch, so
+    this equals the metric_profiles entry at the same point.
     """
     eta = cfg.validate_eta(eta)
     y = cfg.validate_position(y, eta)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import platform
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -276,6 +277,10 @@ def run_metadata(params: ScenarioParams, settings: OptimizerSettings,
     payload = {
         "package_version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        # bit-identical re-evaluation holds per numpy build and machine
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "machine": platform.machine()},
         "scenario": _jsonable(asdict(params)),
         "optimizer": _jsonable(asdict(settings)),
         "grid": _jsonable(asdict(grid)),

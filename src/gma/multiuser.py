@@ -12,6 +12,8 @@ domain-monotonicity guarantees structural: growing the movable region (with
 nested grids) or raising eta_max can only enlarge the evaluated set. The
 compact configuration (eta = 1 at the bottom of the region) is part of
 every base grid, so the result never falls below the fixed-array baseline.
+A (y, eta) value does not depend on its batch, so every value the search
+compares is the one objective_metric gives at that point.
 """
 
 from __future__ import annotations
@@ -69,10 +71,9 @@ def sparsity_search(y: float, users, powers: LinkPowers,
     if not etas:
         raise ValueError(f"no feasible sparsity level at y = {y}")
     best_eta, best_val = etas[0], -np.inf
-    for eta in etas:
-        val = objective_metric(y, eta, users, powers, cfg)
-        if val > best_val:
-            best_eta, best_val = eta, val
+    for eta, vals in metric_profiles([y], etas, users, powers, cfg):
+        if vals[0] > best_val:
+            best_eta, best_val = eta, float(vals[0])
     return best_eta, best_val
 
 
@@ -86,13 +87,8 @@ def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
     e.g. the solution of a run over a smaller region so that sweeps over
     growing domains are monotone even at refined resolution.
 
-    The returned objective is canonicalized through the single-point
-    evaluation kernel over a final shortlist (search winner, compact
-    configuration, injected candidates). Batched and single-point values
-    agree only to floating-point accuracy, so this keeps the exactness
-    guarantees (result >= fixed-array baseline, result >= every injected
-    candidate, bit-identical re-evaluation) independent of scan batch
-    shapes.
+    A (y, eta) value does not depend on its batch, so the objective is at
+    least the fixed-array baseline and every injected candidate, exactly.
     """
     if len(users) != powers.K:
         raise ValueError(f"got {len(users)} users for {powers.K} powers")
@@ -101,15 +97,7 @@ def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
         raise ValueError("movable region admits no feasible sparsity level")
     step = grid.resolve_step(cfg.wavelength)
     best_val, best_y, best_eta, evals = scan(feas, step, users, powers, cfg)
-
-    # the fixed-array baseline configuration; eta = 1 is feasible whenever
-    # any level is
-    shortlist: list[tuple[float, int]] = [(cfg.y_min, 1)]
     for y_c, eta_c in extra_candidates:
-        eta_c = cfg.validate_eta(eta_c)
-        y_c = cfg.validate_position(y_c, eta_c)
-        shortlist.append((y_c, eta_c))
-    for y_c, eta_c in shortlist:
         val = objective_metric(y_c, eta_c, users, powers, cfg)
         evals += 1
         if val > best_val:
@@ -117,11 +105,10 @@ def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
 
     trace = [best_val]
     prev = best_val
-    y, eta = best_y, best_eta
+    y, eta, cur = best_y, best_eta, best_val
     rounds = 0
     for _ in range(settings.max_alt_iters):
         rounds += 1
-        cur = objective_metric(y, eta, users, powers, cfg)
         y2, v2, ev = _refine_position(y, cur, eta, step, users, powers, cfg, grid)
         evals += ev
         if v2 > best_val:
@@ -130,21 +117,12 @@ def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
         evals += len(feas)
         if v3 > best_val:
             best_val, best_y, best_eta = v3, y2, eta3
-        y, eta = y2, eta3
+        y, eta, cur = y2, eta3, v3
         trace.append(best_val)
         if best_val - prev <= settings.epsilon * abs(prev):
             break
         prev = best_val
-
-    # canonical final pass: compare the search winner against the shortlist
-    # through the single-point kernel only
-    final = [(best_y, best_eta)] + shortlist
-    obj_star, y_star, eta_star = -np.inf, best_y, best_eta
-    for y_c, eta_c in final:
-        val = objective_metric(y_c, eta_c, users, powers, cfg)
-        if val > obj_star:
-            obj_star, y_star, eta_star = val, y_c, eta_c
-    return GmaSolution(y_star=y_star, eta_star=eta_star, objective=obj_star,
+    return GmaSolution(y_star=best_y, eta_star=best_eta, objective=best_val,
                        trace=tuple(trace), evals=evals, rounds=rounds)
 
 

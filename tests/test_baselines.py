@@ -184,7 +184,7 @@ class TestExhaustiveSearch:
         for _ in range(200):
             y = float(pts[rng.integers(0, pts.size)])
             eta = int(rng.integers(1, cfg.eta_max + 1))
-            assert val >= objective_metric(y, eta, users, powers, cfg) - 1e-9 * abs(val)
+            assert val >= objective_metric(y, eta, users, powers, cfg)
 
     def test_lattice_optimizer_never_exceeds_oracle(self):
         for seed in range(4):
@@ -193,7 +193,7 @@ class TestExhaustiveSearch:
             sol = optimize_multiuser(users, powers, cfg,
                                      grid=GridSpec(step=step, refine_levels=0))
             _, _, oracle = exhaustive_search(users, powers, cfg, step)
-            assert sol.objective <= oracle + 1e-9 * abs(oracle)
+            assert sol.objective <= oracle
 
     def test_rejects_bad_step(self, cfg_small, rng):
         users = [random_paths(rng, L=2)]

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from gma.cli import main
@@ -15,15 +17,26 @@ def write_config(tmp_path, config):
     return str(path)
 
 
-@pytest.mark.parametrize("seeds", [0, -1])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_rejects_trial_count_below_one(tmp_path, capsys, seeds, source):
+@pytest.mark.parametrize("source, experiment", [
+    pytest.param("flag", {"seeds": 0}, id="flag-0"),
+    pytest.param("flag", {"seeds": -1}, id="flag--1"),
+    pytest.param("config", {"seeds": 0}, id="config-0"),
+    pytest.param("config", {"seeds": -1}, id="config--1"),
+    pytest.param("config", {"seeds": 1.5}, id="config-1.5"),
+    pytest.param("config", {"seeds": True}, id="config-True"),
+    pytest.param("config", {"ma_restarts": -3}, id="config-ma_restarts=-3"),
+    pytest.param("config", {"ma_restarts": 1.7}, id="config-ma_restarts=1.7"),
+    pytest.param("config", {"oracle_step": "x", "schemes": ["gma", "oracle"]},
+                 id="config-oracle_step=x"),
+])
+def test_rejects_trial_count_below_one(tmp_path, capsys, source, experiment):
+    # covers every checked experiment value: seeds, ma_restarts, oracle_step
     out = tmp_path / "out.csv"
     if source == "flag":
-        argv = ["compare", "--seeds", str(seeds)]
+        argv = ["compare", "--seeds", str(experiment["seeds"])]
     else:
-        argv = ["compare", "--config",
-                write_config(tmp_path, {"experiment": {"seeds": seeds}})]
+        config = {"scenario": {"M": 16}, "experiment": experiment}
+        argv = ["compare", "--config", write_config(tmp_path, config)]
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
@@ -52,3 +65,6 @@ def test_small_compare_writes_csv_and_sidecar(tmp_path, capsys):
         ("0", "gma", "16"), ("0", "fpa", "16"), ("1", "gma", "16"), ("1", "fpa", "16")]
     meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
     assert (meta["command"], meta["trials"], meta["scenario"]["M"]) == ("compare", 2, 16)
+    assert meta["environment"] == {"python": platform.python_version(),
+                                   "numpy": np.__version__,
+                                   "machine": platform.machine()}

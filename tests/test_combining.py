@@ -269,9 +269,27 @@ class TestBatchedEvaluation:
         ys = rng.uniform(0.0, cfg_small.y_max, 11)
         for eta, vals in metric_profiles(ys, [1, 3, 5], users, powers, cfg_small):
             for b in (0, 5, 10):
-                np.testing.assert_allclose(
-                    vals[b], objective_metric(ys[b], eta, users, powers, cfg_small),
-                    rtol=1e-12)
+                assert vals[b] == objective_metric(ys[b], eta, users, powers,
+                                                   cfg_small)
+
+    @given(seed=st.integers(0, 10 ** 6), K=st.integers(1, 10),
+           L=st.integers(1, 4), N=st.integers(2, 12), B=st.integers(1, 64),
+           confine=st.booleans())
+    def test_value_does_not_depend_on_the_batch(self, seed, K, L, N, B, confine):
+        r = np.random.default_rng(seed)
+        cfg = make_cfg(M=16, N=N, span_wavelengths=r.uniform(6.0, 20.0),
+                       confine_aperture=confine)
+        users = [random_paths(r, L=L) for _ in range(K)]
+        powers = LinkPowers(p_bar=r.uniform(0.5, 3.0, K))
+        eta = int(r.choice(cfg.feasible_etas()))
+        ys = r.uniform(*cfg.position_bounds(eta), B)
+        _, vals = next(metric_profiles(ys, [eta], users, powers, cfg))
+        for b in range(B):
+            assert vals[b] == objective_metric(ys[b], eta, users, powers, cfg)
+        start = int(r.integers(0, B))
+        stop = int(r.integers(start + 1, B + 1))
+        _, part = next(metric_profiles(ys[start:stop], [eta], users, powers, cfg))
+        assert np.array_equal(part, vals[start:stop])
 
     def test_single_point_reevaluates_bit_identically(self, cfg_small, rng):
         users = [random_paths(rng, L=3) for _ in range(3)]

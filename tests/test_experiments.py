@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,22 @@ class TestRunCompare:
                               oracle_step=SMALL.wavelength / 64)
         for rec in records:
             assert reevaluate_record(rec, SMALL) == rec.metric
+
+    def test_every_sweep_record_reevaluates_identically(self):
+        # at seed 7, two of the four gma records are injected candidates
+        # that beat their own region's search
+        params = ScenarioParams(K=2, M=16, paths_per_user=2, seed=7)
+        counts, multiples = (8, 16), (1, 2)
+        records = run_sweep(params, SETTINGS, GRID, trials=1,
+                            region_multiples=multiples, element_counts=counts,
+                            schemes=("gma", "fpa"))
+        cells = [replace(params, M=m, region=(0.0, mult * 31 * params.d))
+                 for m in counts for mult in multiples]
+        assert len(records) == 2 * len(cells)
+        for i, rec in enumerate(records):
+            combo = cells[i // 2]  # a gma and an fpa record per cell
+            assert rec.M == combo.M
+            assert reevaluate_record(rec, combo) == rec.metric
 
     def test_single_user_sca_lane(self):
         params = ScenarioParams(K=1, M=16, paths_per_user=2,
