@@ -173,11 +173,12 @@ def _slot_scan(pos, n, lo_n, hi_n, step, val, users, powers, cfg, grid):
 
 
 def exhaustive_search(users, powers: LinkPowers, cfg: ArrayConfig,
-                      fine_step: float) -> tuple[float, int, float]:
-    """Best (y, eta, metric) over the full position-sparsity product grid.
+                      fine_step: float) -> tuple[float, int, float, int]:
+    """Best (y, eta, metric, evals) over the full position-sparsity product grid.
 
     Ties resolve toward the smaller sparsity level, then the smaller grid
-    index. Serves as the reference answer for the optimizers.
+    index. evals counts the (y, eta) points scored. Serves as the reference
+    answer for the optimizers.
     """
     if not fine_step > 0:
         raise ValueError(f"grid step must be positive, got {fine_step}")
@@ -187,8 +188,8 @@ def exhaustive_search(users, powers: LinkPowers, cfg: ArrayConfig,
     if powers.K == 1:
         return _exhaustive_single_user(users[0], float(powers.p_bar[0]),
                                        cfg, fine_step, feas)
-    best_val, best_y, best_eta, _ = scan(feas, fine_step, users, powers, cfg)
-    return best_y, best_eta, best_val
+    best_val, best_y, best_eta, evals = scan(feas, fine_step, users, powers, cfg)
+    return best_y, best_eta, best_val, evals
 
 
 def _exhaustive_single_user(paths, p_bar, cfg, fine_step, feas):
@@ -212,17 +213,16 @@ def _exhaustive_single_user(paths, p_bar, cfg, fine_step, feas):
         cross_re, cross_im = cross.real.copy(), cross.imag.copy()
     else:
         Wc = W.conj()
-    best_val, best_y, best_eta = -np.inf, None, None
+    best_val, best_y, best_eta, evals = -np.inf, None, None, 0
     for eta in feas:
         A = path_matrix(eta, paths, cfg)
         gram = A.conj().T @ A
-        if cfg.confine_aperture:
-            _, hi = cfg.position_bounds(eta)
-            n_ok = int(np.searchsorted(pts, hi, side="right"))
-        else:
-            n_ok = pts.size
-        if n_ok == 0:
-            continue
+        # the level's grid is the first n_ok points of pts, plus its upper
+        # end when confine_aperture puts that off the lattice
+        bounds = cfg.position_bounds(eta)
+        grid = pts if bounds == (cfg.y_min, cfg.y_max) else position_grid(
+            *bounds, fine_step)
+        n_ok = int(np.searchsorted(pts, grid[-1], side="right"))
         if use_pairs:
             g = np.array([gram[i, j] for i, j in pairs])
             vals = np.real(np.trace(gram)) + 2.0 * (
@@ -230,7 +230,12 @@ def _exhaustive_single_user(paths, p_bar, cfg, fine_step, feas):
             vals *= p_bar
         else:
             vals = p_bar * ((Wc[:n_ok] @ gram) * W[:n_ok]).sum(axis=1).real
+        if grid.size > n_ok:
+            W_end = path_phases(grid[n_ok:], paths.aoas, cfg)
+            vals = np.append(vals, p_bar * (
+                (W_end.conj() @ gram) * W_end).sum(axis=1).real)
+        evals += grid.size
         i = int(np.argmax(vals))
         if vals[i] > best_val:
-            best_val, best_y, best_eta = float(vals[i]), float(pts[i]), eta
-    return best_y, best_eta, best_val
+            best_val, best_y, best_eta = float(vals[i]), float(grid[i]), eta
+    return best_y, best_eta, best_val, evals

@@ -21,7 +21,7 @@ import numpy as np
 from .arrays import (ArrayConfig, channel_entries, channel_profile,
                      gain_weighted_shifts, sparse_steering_matrix, sum_paths)
 
-_CHUNK = 1 << 11  # positions per batch_sinr call: its arrays stay in cache
+_CHUNK = 1 << 11  # (y, eta) rows per batch_sinr call: its arrays stay in cache
 
 
 def noise_power_dbm(n0_dbm_hz: float = -174.0, bandwidth_hz: float = 1e6) -> float:
@@ -80,12 +80,26 @@ def mrc_snr(h, p_bar: float) -> float:
 # -- batched evaluation ------------------------------------------------------
 #
 # Grid searches evaluate the metric at thousands of candidates, so the one
-# kernel factors the total covariance S = I + sum_i p_i h_i h_i^H once per
+# kernel factors the total covariance S = I + sum_k p_k h_k h_k^H once per
 # candidate and reads every user's SINR off it: with u_k = h_k^H S^-1 h_k,
 # gamma_k = p_k u_k / (1 - p_k u_k). The tests check it against the
-# per-user Cholesky reference in tests/util.py. A (y, eta) value does not
-# depend on its batch (arrays.sum_paths builds each channel row alone), so
-# optimizers store scan values and they re-evaluate bit-identically.
+# per-user Cholesky reference in tests/util.py.
+#
+# The kernel is an LDL^H factorization unrolled over the N x N entries. The
+# channels are split into real and imaginary planes, one (K, B) plane per
+# array element with the batch axis fastest, and every step is an
+# elementwise float64 operation over the B candidates: one numpy call covers
+# the whole batch, and no result depends on B or on the other rows. So a
+# (y, eta) value does not depend on its batch (arrays.sum_paths builds each
+# channel row alone), and optimizers store scan values that re-evaluate
+# bit-identically. The sums over users and over the N pivots are explicit
+# loops, never numpy reductions: numpy sums an axis pairwise from 8 terms
+# on, in an order that follows the array layout, which would tie a row's
+# bits to the batch shape. Small arrays also keep a call's working set in
+# cache and off freshly mapped pages.
+#
+# No pivoting is needed: S is the identity plus a positive semidefinite
+# matrix, so every pivot d_j is at least 1.
 
 def batch_sinr(H: np.ndarray, powers: LinkPowers) -> np.ndarray:
     """Per-user SINRs for a batch of channel stacks.
@@ -107,13 +121,82 @@ def batch_sinr(H: np.ndarray, powers: LinkPowers) -> np.ndarray:
         # C order: each row then sums the same way, whatever H's layout
         power = np.ascontiguousarray(np.abs(H[:, 0, :]) ** 2)
         return p[0] * power.sum(axis=1)[:, None]
-    S = np.broadcast_to(np.eye(N, dtype=np.complex128), (B, N, N)).copy()
-    S += np.einsum("bkn,bkm->bnm", H * p[None, :, None], H.conj())
-    X = np.linalg.solve(S, H.transpose(0, 2, 1))  # column k holds S^-1 h_k
-    u = np.einsum("bkn,bnk->bk", H.conj(), X).real
-    pu = p[None, :] * u
+    planes = H.transpose(1, 2, 0)
+    # (K, B) planes per element n: the substitution overwrites them after
+    # the covariance has read them
+    hr = [planes[:, n].real.copy() for n in range(N)]
+    hi = [planes[:, n].imag.copy() for n in range(N)]
+    Sr, Si = _covariance_lower(hr, hi, p)
+    pu = p[:, None] * _forward_substitute(Sr, Si, hr, hi)
     # 1 - p_k u_k > 0 analytically; the floor only guards fp rounding.
-    return pu / np.maximum(1.0 - pu, 1e-300)
+    # C order again, so that batch_sum_rate sums each row the same way.
+    return np.ascontiguousarray((pu / np.maximum(1.0 - pu, 1e-300)).T)
+
+
+def _covariance_lower(hr, hi, p):
+    """Lower triangle of S = I + sum_k p_k h_k h_k^H, as rows of (B,) planes.
+
+    Entry (i, j), j <= i, is Sr[i][j] + 1j*Si[i][j]; the diagonal is real,
+    so Si[i] stops at j = i - 1.
+    """
+    Sr, Si = [], []
+    for i in range(len(hr)):
+        gr, gi = p[:, None] * hr[i], p[:, None] * hi[i]
+        row_r, row_i = [], []
+        for j in range(i + 1):
+            # user k adds p_k h_ki conj(h_kj); users are added in order
+            tr = gr * hr[j]
+            tr += gi * hi[j]
+            row_r.append(_add_rows(tr, 1.0 if j == i else 0.0))
+            if j < i:
+                ti = gi * hr[j]
+                ti -= gr * hi[j]
+                row_i.append(_add_rows(ti, 0.0))
+        Sr.append(row_r)
+        Si.append(row_i)
+    return Sr, Si
+
+
+def _add_rows(terms, start):
+    acc = terms[0] + start
+    for t in terms[1:]:
+        acc += t
+    return acc
+
+
+def _forward_substitute(Sr, Si, zr, zi):
+    """u_k = h_k^H S^-1 h_k for every user, shape (K, B).
+
+    Factors S = L D L^H in place, right-looking, and solves L z_k = h_k for
+    all users along the way, overwriting the channel planes zr, zi with z.
+    Then u_k = sum_j |z_kj|^2 / d_j.
+    """
+    u = np.zeros(zr[0].shape)
+    N = len(Sr)
+    for j in range(N):
+        d = Sr[j][j]
+        t = zr[j] * zr[j]
+        t += zi[j] * zi[j]
+        t /= d
+        u += t
+        for i in range(j + 1, N):
+            lr, li = Sr[i][j] / d, Si[i][j] / d  # L_ij
+            for m in range(j + 1, i + 1):
+                # S_im -= L_ij conj(S_mj), the Schur complement update
+                x = lr * Sr[m][j]
+                x += li * Si[m][j]
+                Sr[i][m] -= x
+                if m < i:
+                    x = li * Sr[m][j]
+                    x -= lr * Si[m][j]
+                    Si[i][m] -= x
+            x = lr * zr[j]
+            x -= li * zi[j]
+            zr[i] -= x
+            x = lr * zi[j]
+            x += li * zr[j]
+            zi[i] -= x
+    return u
 
 
 def batch_sum_rate(H: np.ndarray, powers: LinkPowers) -> np.ndarray:
@@ -138,19 +221,35 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig)
 
     The gain-weighted phase tables are sparsity-independent and computed
     once, so dense (y, eta) scans pay only the path sum plus the combining
-    math per eta. A (y, eta) value does not depend on its batch: each entry
-    equals objective_metric at that point.
+    math per eta. The (eta, y) rows of all levels go through batch_objective
+    in calls of up to _CHUNK rows, and one call spans several levels when
+    the position grid is short. A (y, eta) value does not depend on its
+    batch: each entry equals objective_metric at that point.
     """
     y_values = np.asarray(y_values, dtype=np.float64)
     tables = [gain_weighted_shifts(y_values, u, cfg) for u in users]
-    for eta in etas:
-        abars = [sparse_steering_matrix(eta, u.aoas, cfg) for u in users]
-        vals = np.empty(y_values.size)
-        for start in range(0, y_values.size, _CHUNK):
-            sl = slice(start, min(start + _CHUNK, y_values.size))
-            H = np.stack([sum_paths(t[sl], ab) for t, ab in zip(tables, abars)], axis=1)
-            vals[sl] = batch_objective(H, powers)
-        yield eta, vals
+    etas, B = list(etas), y_values.size
+    filling = {}  # level index -> its values, until the level is complete
+    for start in range(0, len(etas) * B, _CHUNK):
+        stop = min(start + _CHUNK, len(etas) * B)
+        H = np.empty((len(users), cfg.N, stop - start), dtype=np.complex128)
+        pieces = []  # (level index, first y, last y + 1, first row in H)
+        row = start
+        while row < stop:
+            lvl, a = divmod(row, B)
+            b = min(B, a + stop - row)
+            for k, (t, u) in enumerate(zip(tables, users)):
+                abar = sparse_steering_matrix(etas[lvl], u.aoas, cfg)
+                H[k, :, row - start:row - start + b - a] = sum_paths(t[a:b], abar).T
+            pieces.append((lvl, a, b, row - start))
+            row += b - a
+        vals = batch_objective(H.transpose(2, 0, 1), powers)
+        for lvl, a, b, off in pieces:
+            if a == 0:
+                filling[lvl] = np.empty(B)
+            filling[lvl][a:b] = vals[off:off + b - a]
+            if b == B:
+                yield etas[lvl], filling.pop(lvl)
 
 
 def objective_metric(y: float, eta: int, users, powers: LinkPowers,

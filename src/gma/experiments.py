@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import platform
 import time
 from dataclasses import asdict, dataclass, replace
@@ -33,6 +34,7 @@ CSV_COLUMNS = ("seed", "scheme", "K", "M", "N", "Y_over_D", "eta_max",
                "y_star", "eta_star", "metric", "evals", "wall_ms")
 SCHEMES = ("gma", "fpa", "ma", "oracle")
 COMPACT_D_MAX_ELEMENTS = 32  # reference compact array for region sweeps
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -193,11 +195,12 @@ def run_trial_schemes(scenario: Scenario, schemes,
                                    layout=tuple(layout.positions)))
         elif scheme == "oracle":
             step = oracle_step if oracle_step is not None else cfg.wavelength / 1000.0
-            y_o, eta_o, _ = exhaustive_search(users, powers, cfg, step)
+            y_o, eta_o, _, evals = exhaustive_search(users, powers, cfg, step)
             # record through the shared kernel for bit-identical re-evaluation
             metric = objective_metric(y_o, eta_o, users, powers, cfg)
             wall = (time.perf_counter() - t0) * 1e3
-            records.append(_record(scenario, "oracle", y_o, eta_o, metric, 0, wall))
+            records.append(_record(scenario, "oracle", y_o, eta_o, metric,
+                                   evals, wall))
     return records
 
 
@@ -278,9 +281,7 @@ def run_metadata(params: ScenarioParams, settings: OptimizerSettings,
         "package_version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         # bit-identical re-evaluation holds per numpy build and machine
-        "environment": {"python": platform.python_version(),
-                        "numpy": np.__version__,
-                        "machine": platform.machine()},
+        "environment": _environment(),
         "scenario": _jsonable(asdict(params)),
         "optimizer": _jsonable(asdict(settings)),
         "grid": _jsonable(asdict(grid)),
@@ -298,6 +299,16 @@ def run_metadata(params: ScenarioParams, settings: OptimizerSettings,
     if extra:
         payload.update(extra)
     return payload
+
+
+def _environment() -> dict:
+    """Python, numpy and BLAS builds, machine, and the BLAS thread settings."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {"python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {var: os.environ.get(var) for var in THREAD_VARIABLES}}
 
 
 def write_metadata(csv_path, payload: dict) -> None:

@@ -114,7 +114,7 @@ def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
         if v2 > best_val:
             best_val, best_y, best_eta = v2, y2, eta
         eta3, v3 = sparsity_search(y2, users, powers, cfg)
-        evals += len(feas)
+        evals += len(cfg.feasible_etas(y2))
         if v3 > best_val:
             best_val, best_y, best_eta = v3, y2, eta3
         y, eta, cur = y2, eta3, v3

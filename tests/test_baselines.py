@@ -7,7 +7,7 @@ from gma.baselines import (MaLayout, exhaustive_search, fpa_metric,
                            ma_span)
 from gma.combining import LinkPowers, objective_metric
 from gma.experiments import run_trial_schemes
-from gma.multiuser import optimize_multiuser
+from gma.multiuser import optimize_multiuser, scan
 from gma.optim import GridSpec, OptimizerSettings, position_grid
 from gma.scenario import ScenarioParams, sample_scenario
 
@@ -149,7 +149,7 @@ class TestExhaustiveSearch:
         rng = np.random.default_rng(2)
         users = [random_paths(rng, L=2)]
         powers = LinkPowers(p_bar=np.array([2.0]))
-        y, eta, val = exhaustive_search(users, powers, cfg, WAVELENGTH / 16)
+        y, eta, val, _ = exhaustive_search(users, powers, cfg, WAVELENGTH / 16)
         assert (y, eta) == (0.01, 1)
         np.testing.assert_allclose(
             val, objective_metric(0.01, 1, users, powers, cfg), rtol=1e-12)
@@ -158,7 +158,7 @@ class TestExhaustiveSearch:
         cfg = make_cfg(M=8, N=4, span_wavelengths=6.0)
         users = [random_paths(rng, L=2)]
         powers = LinkPowers(p_bar=np.array([1.0]))
-        y, eta, val = exhaustive_search(users, powers, cfg, WAVELENGTH / 64)
+        y, eta, val, _ = exhaustive_search(users, powers, cfg, WAVELENGTH / 64)
         np.testing.assert_allclose(
             val, objective_metric(y, eta, users, powers, cfg), rtol=1e-12)
 
@@ -167,7 +167,7 @@ class TestExhaustiveSearch:
         users = [random_paths(rng, L=2)]
         powers = LinkPowers(p_bar=np.array([1.5]))
         step = WAVELENGTH / 64
-        _, _, val = exhaustive_search(users, powers, cfg, step)
+        _, _, val, _ = exhaustive_search(users, powers, cfg, step)
         pts = position_grid(cfg.y_min, cfg.y_max, step)
         idx = rng.integers(0, pts.size, 1000)
         etas = rng.integers(1, cfg.eta_max + 1, 1000)
@@ -179,7 +179,7 @@ class TestExhaustiveSearch:
     def test_dominates_random_grid_points_multi_user(self, rng):
         cfg, users, powers = seeded_instance(17, span_wavelengths=6.0, M=8)
         step = WAVELENGTH / 32
-        _, _, val = exhaustive_search(users, powers, cfg, step)
+        _, _, val, _ = exhaustive_search(users, powers, cfg, step)
         pts = position_grid(cfg.y_min, cfg.y_max, step)
         for _ in range(200):
             y = float(pts[rng.integers(0, pts.size)])
@@ -192,8 +192,22 @@ class TestExhaustiveSearch:
             step = cfg.wavelength / 16
             sol = optimize_multiuser(users, powers, cfg,
                                      grid=GridSpec(step=step, refine_levels=0))
-            _, _, oracle = exhaustive_search(users, powers, cfg, step)
+            _, _, oracle, _ = exhaustive_search(users, powers, cfg, step)
             assert sol.objective <= oracle
+
+    @pytest.mark.parametrize("confine", [False, True])
+    def test_single_user_oracle_scores_the_scan_lattice(self, confine):
+        # the Gram-pair route scores the same (y, eta) points as scan, the
+        # upper end of each confined level included
+        params = ScenarioParams(K=1, M=16, region=(0.0, 0.06),
+                                confine_aperture=confine, seed=3)
+        step = params.wavelength / 64
+        for trial in range(4):
+            sc = sample_scenario(params, trial)
+            y, eta, _, evals = exhaustive_search(sc.users, sc.powers, sc.cfg, step)
+            _, y_s, eta_s, evals_s = scan(sc.cfg.feasible_etas(), step,
+                                          sc.users, sc.powers, sc.cfg)
+            assert (y, eta, evals) == (y_s, eta_s, evals_s)
 
     def test_rejects_bad_step(self, cfg_small, rng):
         users = [random_paths(rng, L=2)]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import platform
 
 import numpy as np
@@ -52,7 +53,9 @@ def test_rejects_unknown_config_key(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_small_compare_writes_csv_and_sidecar(tmp_path, capsys):
+def test_small_compare_writes_csv_and_sidecar(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = tmp_path / "out.csv"
     config = write_config(tmp_path, {"scenario": {"M": 16}})
     assert main(["compare", "--config", config, "--seeds", "2",
@@ -65,6 +68,12 @@ def test_small_compare_writes_csv_and_sidecar(tmp_path, capsys):
         ("0", "gma", "16"), ("0", "fpa", "16"), ("1", "gma", "16"), ("1", "fpa", "16")]
     meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
     assert (meta["command"], meta["trials"], meta["scenario"]["M"]) == ("compare", 2, 16)
-    assert meta["environment"] == {"python": platform.python_version(),
-                                   "numpy": np.__version__,
-                                   "machine": platform.machine()}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert meta["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "threads": {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                    "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}}
+    assert meta["environment"]["blas"]["name"]

@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gma import combining
 from gma.arrays import PathSet, channel_vector
 from gma.combining import (LinkPowers, batch_objective, batch_sinr,
                            batch_sum_rate, channel_stack, metric_profiles,
                            mrc_snr, noise_power_dbm, objective_metric)
+from gma.scenario import ScenarioParams, sample_scenario
 
 from util import (Combiner, combiner_sinr, interference_covariance, make_cfg,
                   mmse_combiner, random_paths, sherman_morrison_sinr, sinr,
@@ -242,6 +246,29 @@ class TestBatchedEvaluation:
             np.testing.assert_allclose(
                 rates[b], sum_rate(ys[b], 2, users, powers, cfg_small), rtol=1e-9)
 
+    @pytest.mark.parametrize("dbm", [10.0, 40.0])
+    @pytest.mark.parametrize("K, N", [(2, 4), (4, 4), (5, 4), (9, 4), (3, 8),
+                                      (8, 8), (11, 8), (5, 12), (12, 12),
+                                      (13, 12)])
+    def test_factorization_matches_reference_for_every_shape(self, K, N, dbm):
+        # K < N, K = N and K > N; at 40 dBm the pivots d_j reach about 1e6
+        params = ScenarioParams(K=K, N=N, M=4 * N, p_tx_dbm=dbm, seed=K * N)
+        sc = sample_scenario(params, 0)
+        cfg, users, powers = sc.cfg, sc.users, sc.powers
+        r = np.random.default_rng(N)
+        for eta in (1, cfg.eta_max):
+            ys = r.uniform(cfg.y_min, cfg.y_max, 6)
+            gammas = batch_sinr(channel_stack(ys, eta, users, cfg), powers)
+            ref = np.array([[sinr(k, y, eta, users, powers, cfg)
+                             for k in range(K)] for y in ys])
+            # the factorization computes p_k u_k = gamma_k / (1 + gamma_k)
+            np.testing.assert_allclose(gammas / (1.0 + gammas),
+                                       ref / (1.0 + ref), rtol=1e-11)
+            if dbm == 10.0:
+                # gamma = p u / (1 - p u) multiplies the rounding of p u by
+                # 1 + gamma, which reaches 1e6 at 40 dBm (old kernel alike)
+                np.testing.assert_allclose(gammas, ref, rtol=1e-9)
+
     def test_single_user_fast_path(self, cfg_small, rng):
         ps = random_paths(rng, L=2)
         powers = LinkPowers(p_bar=np.array([2.0]))
@@ -290,6 +317,25 @@ class TestBatchedEvaluation:
         stop = int(r.integers(start + 1, B + 1))
         _, part = next(metric_profiles(ys[start:stop], [eta], users, powers, cfg))
         assert np.array_equal(part, vals[start:stop])
+
+    @given(seed=st.integers(0, 10 ** 6), K=st.integers(1, 6),
+           chunk=st.integers(1, 40), B=st.integers(1, 12),
+           levels=st.integers(1, 6), confine=st.booleans())
+    def test_levels_sharing_a_call_match_single_point(self, seed, K, chunk, B,
+                                                      levels, confine):
+        # a small _CHUNK puts call boundaries inside levels and across them
+        r = np.random.default_rng(seed)
+        cfg = make_cfg(M=16, N=4, span_wavelengths=20.0, confine_aperture=confine)
+        users = [random_paths(r, L=3) for _ in range(K)]
+        powers = LinkPowers(p_bar=r.uniform(0.5, 3.0, K))
+        etas = [int(e) for e in r.choice(cfg.feasible_etas(), levels)]
+        ys = r.uniform(*cfg.position_bounds(max(etas)), B)
+        with mock.patch.object(combining, "_CHUNK", chunk):
+            profiles = list(metric_profiles(ys, etas, users, powers, cfg))
+        assert [eta for eta, _ in profiles] == etas
+        for eta, vals in profiles:
+            for b in range(B):
+                assert vals[b] == objective_metric(ys[b], eta, users, powers, cfg)
 
     def test_single_point_reevaluates_bit_identically(self, cfg_small, rng):
         users = [random_paths(rng, L=3) for _ in range(3)]

@@ -88,6 +88,21 @@ class TestRunCompare:
         oracle = next(r for r in records if r.scheme == "oracle")
         assert oracle.metric >= gma.metric - 1e-6 * abs(gma.metric)
 
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("confine", [False, True])
+    def test_oracle_evals_are_the_lattice_size(self, K, confine):
+        # region (0, 0.06) puts every level's upper end off the lambda/64
+        # lattice, so each level's grid ends in an appended point
+        params = ScenarioParams(K=K, M=16, paths_per_user=3, region=(0.0, 0.06),
+                                confine_aperture=confine, seed=3)
+        step = params.wavelength / 64
+        (record,) = run_compare(params, SETTINGS, GRID, trials=1,
+                                schemes=("oracle",), oracle_step=step)
+        cfg = params.array_config()
+        assert record.evals == sum(
+            position_grid(*cfg.position_bounds(eta), step).size
+            for eta in cfg.feasible_etas())
+
     def test_every_record_reevaluates_identically(self):
         records = run_compare(SMALL, SETTINGS, GRID, trials=1,
                               schemes=("gma", "fpa", "ma", "oracle"),

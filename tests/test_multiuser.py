@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from gma import multiuser
 from gma.arrays import ArrayConfig, PathSet
 from gma.baselines import exhaustive_search
 from gma.combining import LinkPowers, metric_profiles, objective_metric
@@ -9,6 +10,7 @@ from gma.multiuser import (grid_position_search, optimize_multiuser, scan,
                            sparsity_search)
 from gma.optim import GridSpec, OptimizerSettings, position_grid
 from gma.sca import optimize_single_user
+from gma.scenario import ScenarioParams, sample_scenario
 
 from util import WAVELENGTH, make_cfg, random_paths, sum_rate
 
@@ -135,6 +137,23 @@ class TestOptimizeMultiuser:
             sca = optimize_single_user(users[0], SETTINGS, cfg,
                                        p_bar=float(powers.p_bar[0]))
             assert abs(10 * np.log10(sol.objective / sca.objective)) < 0.01
+
+    def test_evals_count_every_scored_point(self, monkeypatch):
+        # with confine_aperture a sparsity search scores only the levels whose
+        # interval holds its y: here 7 of the 10 feasible ones
+        scenario = sample_scenario(
+            ScenarioParams(K=3, M=32, confine_aperture=True, seed=5), 5)
+        scored = []
+
+        def counted(y_values, etas, *args):
+            for eta, vals in metric_profiles(y_values, etas, *args):
+                scored.append(vals.size)
+                yield eta, vals
+
+        monkeypatch.setattr(multiuser, "metric_profiles", counted)
+        sol = optimize_multiuser(scenario.users, scenario.powers, scenario.cfg)
+        assert sol.rounds >= 1
+        assert sol.evals == sum(scored)
 
     def test_rank_one_instance_matches_hand_formula(self, cfg_small):
         # every user rides the same single-path direction: the metric is

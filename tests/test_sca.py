@@ -271,7 +271,7 @@ class TestOptimizeSingleUser:
         for _ in range(20):
             ps = two_path(rng)
             sol = optimize_single_user(ps, SETTINGS, cfg)
-            _, _, ref = exhaustive_search([ps], LinkPowers(p_bar=np.array([1.0])),
+            _, _, ref, _ = exhaustive_search([ps], LinkPowers(p_bar=np.array([1.0])),
                                           cfg, WAVELENGTH / 1000)
             if 10 * np.log10(sol.objective / ref) > -0.01:
                 hits += 1
