@@ -3,7 +3,7 @@
 A uniform sparse array slides as one rigid group along an axis while
 antenna selection sets its element stride; this package optimizes the pair
 (position, sparsity) for uplink SNR or multi-user sum rate, provides the
-fixed-array / per-element-movable / exhaustive-search baselines, and ships
+fixed-array / per-element-movable / grid-search baselines, and ships
 a seeded experiment harness with CSV output.
 """
 

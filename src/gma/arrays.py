@@ -288,15 +288,66 @@ def gain_weighted_shifts(y_values: np.ndarray, paths: PathSet,
     return out
 
 
+# -- the position lattice -----------------------------------------------------
+#
+# A channel row is built by one of two rules, chosen point by point from the
+# reference position y alone, so a (y, eta) value never depends on its batch.
+#
+# The lattice has step u = d / LATTICE_STEPS (wavelength/1024 by default). y
+# is on the lattice when y == y_min + t*u bit for bit, with
+# t = rint((y - y_min) / u). Element n of a lattice candidate (y, eta) then
+# sits at x = y_min + (t + LATTICE_STEPS*n*eta)*u, and its channel entry is
+# c(x) = sum_l g_l exp(j k0 x sin theta_l): element_channels, which adds the
+# gain_weighted_shifts columns in path order. It depends on the integer
+# index only, so a scan reads every level's channels off one table of c per
+# user (combining.metric_profiles). Off the lattice a row keeps the steering
+# product sum_paths(gain_weighted_shifts(y), sparse_steering_matrix(eta)).
+#
+# The default wavelength/16 grid, and every position_grid anchored at y_min
+# with a step of d/2**k, land on the lattice. Refinement windows and appended
+# region ends mostly do not; they are few rows.
+
+LATTICE_STEPS = 512  # lattice steps per element spacing d
+
+
+def lattice_index(y_values, cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice indices t (int64, 0 off the lattice) and the on-lattice mask."""
+    y = np.asarray(y_values, dtype=np.float64)
+    u = cfg.d / LATTICE_STEPS
+    t = np.rint((y - cfg.y_min) / u)
+    on = (np.abs(t) < 2.0 ** 52) & (cfg.y_min + t * u == y)
+    return np.where(on, t, 0.0).astype(np.int64), on
+
+
+def element_channels(q: np.ndarray, paths: PathSet, cfg: ArrayConfig) -> np.ndarray:
+    """Channel entries c(y_min + q*u) at integer lattice indices q, q's shape."""
+    x = cfg.y_min + q.ravel() * (cfg.d / LATTICE_STEPS)
+    shifts = gain_weighted_shifts(x, paths, cfg)
+    acc = shifts[:, 0].copy()
+    for col in shifts.T[1:]:
+        acc += col
+    return acc.reshape(q.shape)
+
+
 def channel_profile(y_values: np.ndarray, eta: int, paths: PathSet,
                     cfg: ArrayConfig) -> np.ndarray:
     """Channels at many reference positions in one shot, shape (B, N).
 
-    Row b holds the channel at (y_values[b], eta). Positions are not
-    range-checked here; grid builders only produce in-region values.
+    Row b holds the channel at (y_values[b], eta), built by the lattice rule
+    above. Positions are not range-checked here; grid builders only produce
+    in-region values.
     """
-    return sum_paths(gain_weighted_shifts(y_values, paths, cfg),
-                     sparse_steering_matrix(eta, paths.aoas, cfg))
+    eta = cfg.validate_eta(eta)
+    y_values = np.asarray(y_values, dtype=np.float64)
+    t, on = lattice_index(y_values, cfg)
+    out = np.empty((y_values.size, cfg.N), dtype=np.complex128)
+    if on.any():
+        steps = LATTICE_STEPS * eta * np.arange(cfg.N)
+        out[on] = element_channels(t[on, None] + steps, paths, cfg)
+    if not on.all():
+        out[~on] = sum_paths(gain_weighted_shifts(y_values[~on], paths, cfg),
+                             sparse_steering_matrix(eta, paths.aoas, cfg))
+    return out
 
 
 def sum_paths(shifts: np.ndarray, abar: np.ndarray) -> np.ndarray:

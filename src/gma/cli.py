@@ -17,8 +17,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .arrays import _as_int
-from .experiments import (landscape, run_compare, run_metadata, run_sweep,
-                          write_landscape_csv, write_metadata,
+from .experiments import (SCHEMES, landscape, run_compare, run_metadata,
+                          run_sweep, write_landscape_csv, write_metadata,
                           write_records_csv)
 from .optim import GridSpec, OptimizerSettings
 from .scenario import ScenarioParams, sample_scenario
@@ -67,7 +67,8 @@ def _add_common_flags(sub):
     sub.add_argument("--seed", type=int, help="master seed")
     sub.add_argument("--seeds", type=int, help="number of trials")
     sub.add_argument("--out", help="output CSV path")
-    sub.add_argument("--scheme", help="comma-separated schemes (gma,fpa,ma,oracle)")
+    sub.add_argument("--scheme", help="comma-separated schemes (gma,fpa,ma,oracle); "
+                     "oracle is a dense grid search, not a bound")
     sub.add_argument("--grid-step", type=float, help="search grid step in meters")
 
 
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("single-user", "single-user optimizer (surrogate ascent) over trials"),
         ("multi-user", "multi-user alternating search over trials"),
         ("sweep", "movable-region and array-size sweep"),
-        ("compare", "scheme comparison (gma/fpa/ma/oracle) over trials"),
+        ("compare", "scheme comparison (gma/fpa/ma, oracle grid search) over trials"),
     ):
         _add_common_flags(subs.add_parser(name, help=text))
     return parser
@@ -104,8 +105,12 @@ def _setup(args):
     return params, settings, grid, exp
 
 
-def _experiment_values(exp: dict) -> tuple[int, int, float | None]:
-    """Checked (seeds, ma_restarts, oracle_step) from the experiment section."""
+def _experiment_values(exp: dict) -> dict:
+    """The experiment section with every value checked.
+
+    seeds, ma_restarts and oracle_step get their defaults; a list that is
+    not given stays absent, so that the command picks its own default.
+    """
     trials = _as_int(exp.get("seeds", 1), "seeds")
     if trials < 1:
         raise ConfigError(f"seeds must be at least 1, got {trials}")
@@ -113,11 +118,31 @@ def _experiment_values(exp: dict) -> tuple[int, int, float | None]:
     if restarts < 0:
         raise ConfigError(f"ma_restarts must be at least 0, got {restarts}")
     step = exp.get("oracle_step")
-    if step is not None and not (type(step) in (int, float)
-                                 and math.isfinite(step) and step > 0):
+    if step is not None and not (_is_number(step) and step > 0):
         raise ConfigError(
             f"oracle_step must be a finite number above 0, got {step!r}")
-    return trials, restarts, step
+    checked = {"seeds": trials, "ma_restarts": restarts, "oracle_step": step}
+    for key, ok, what in (
+            ("schemes", lambda v: v in SCHEMES, f"among {SCHEMES}"),
+            ("region_multiples", lambda v: _is_number(v) and v >= 0,
+             "finite numbers of at least 0"),
+            ("element_counts", lambda v: type(v) is int, "integers")):
+        if key not in exp:
+            continue
+        values = exp[key]
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ConfigError(f"{key} must be a non-empty list, got {values!r}")
+        for v in values:
+            if not ok(v):
+                raise ConfigError(f"{key} entries must be {what}, got {v!r}")
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{key} lists a value twice: {list(values)}")
+        checked[key] = tuple(values)
+    return checked
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _force_single_user(params: ScenarioParams) -> ScenarioParams:
@@ -137,7 +162,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params, settings, grid, exp = _setup(args)
-        trials, ma_restarts, oracle_step = _experiment_values(exp)
+        exp = _experiment_values(exp)
+        trials = exp["seeds"]
         out = args.out if args.out is not None else f"gma_{args.command.replace('-', '_')}.csv"
         meta_extra = {"command": args.command, "trials": trials,
                       "master_seed": params.seed}
@@ -155,9 +181,9 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "sweep":
-            multiples = tuple(exp.get("region_multiples", (1, 2, 4, 8)))
-            counts = tuple(exp.get("element_counts", (32, 64, 128)))
-            schemes = tuple(exp.get("schemes", ("gma", "fpa")))
+            multiples = exp.get("region_multiples", (1, 2, 4, 8))
+            counts = exp.get("element_counts", (32, 64, 128))
+            schemes = exp.get("schemes", ("gma", "fpa"))
             records = run_sweep(params, settings, grid, trials,
                                 region_multiples=multiples,
                                 element_counts=counts, schemes=schemes)
@@ -175,11 +201,11 @@ def main(argv=None) -> int:
             default_schemes = ("gma",)
         else:  # compare
             default_schemes = ("gma", "fpa", "ma")
-        schemes = tuple(exp.get("schemes", default_schemes))
+        schemes = exp.get("schemes", default_schemes)
         records = run_compare(params, settings, grid, trials, schemes=schemes,
-                              oracle_step=oracle_step,
+                              oracle_step=exp["oracle_step"],
                               single_user_sca=single_user_sca,
-                              ma_restarts=ma_restarts)
+                              ma_restarts=exp["ma_restarts"])
         write_records_csv(records, out)
         write_metadata(out, run_metadata(params, settings, grid, meta_extra))
         _print_scheme_means(records)

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (ArrayConfig, channel_entries, channel_profile,
-                     gain_weighted_shifts, sparse_steering_matrix, sum_paths)
+from .arrays import (LATTICE_STEPS, ArrayConfig, channel_entries,
+                     channel_profile, element_channels, gain_weighted_shifts,
+                     lattice_index, sparse_steering_matrix, sum_paths)
 
 _CHUNK = 1 << 11  # (y, eta) rows per batch_sinr call: its arrays stay in cache
 
@@ -90,9 +91,9 @@ def mrc_snr(h, p_bar: float) -> float:
 # array element with the batch axis fastest, and every step is an
 # elementwise float64 operation over the B candidates: one numpy call covers
 # the whole batch, and no result depends on B or on the other rows. So a
-# (y, eta) value does not depend on its batch (arrays.sum_paths builds each
-# channel row alone), and optimizers store scan values that re-evaluate
-# bit-identically. The sums over users and over the N pivots are explicit
+# (y, eta) value does not depend on its batch (arrays builds each channel
+# row alone, by the lattice rule documented there), and optimizers store
+# scan values that re-evaluate bit-identically. The sums over users and over the N pivots are explicit
 # loops, never numpy reductions: numpy sums an axis pairwise from 8 terms
 # on, in an order that follows the array layout, which would tie a row's
 # bits to the batch shape. Small arrays also keep a call's working set in
@@ -219,37 +220,71 @@ def channel_stack(y_values: np.ndarray, eta: int, users, cfg: ArrayConfig) -> np
 def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig):
     """Yield (eta, metric array over y_values) for each requested eta.
 
-    The gain-weighted phase tables are sparsity-independent and computed
-    once, so dense (y, eta) scans pay only the path sum plus the combining
-    math per eta. The (eta, y) rows of all levels go through batch_objective
-    in calls of up to _CHUNK rows, and one call spans several levels when
-    the position grid is short. A (y, eta) value does not depend on its
-    batch: each entry equals objective_metric at that point.
+    Channels follow the lattice rule in arrays. The lattice rows of a call
+    share one element-channel table per user, with stride s = the gcd of
+    their index gaps and LATTICE_STEPS, and every level reads its channels
+    off it; when the table would hold more entries than those rows read,
+    they are built element by element instead. The off-lattice rows share
+    one gain-weighted shift table per user across the levels. The (eta, y)
+    rows of all levels go through batch_objective in calls of up to _CHUNK
+    rows, and one call spans several levels when the position grid is
+    short. A (y, eta) value does not depend on its batch: each entry equals
+    objective_metric at that point.
     """
     y_values = np.asarray(y_values, dtype=np.float64)
-    tables = [gain_weighted_shifts(y_values, u, cfg) for u in users]
-    etas, B = list(etas), y_values.size
+    etas, B, N = list(etas), y_values.size, cfg.N
+    t, on = lattice_index(y_values, cfg)
+    # rows are scored lattice rows first, each class in row order
+    order, n_on = np.argsort(~on, kind="stable"), int(on.sum())
+    lat = t[order[:n_on]]
+    shifts = None if n_on == B else [
+        gain_weighted_shifts(y_values[order[n_on:]], u, cfg) for u in users]
+    # lat holds lattice indices, or table positions of stride s once the
+    # tables are built
+    tables, s = None, 1
+    if n_on:
+        t0 = int(lat.min())
+        g = int(np.gcd.reduce(np.append(lat - t0, LATTICE_STEPS)))
+        size = (int(lat.max()) - t0) // g + 1 + (N - 1) * max(etas) * LATTICE_STEPS // g
+        if size < n_on * N * len(etas):
+            # built one user at a time; only the (size,) results are kept
+            tables = [element_channels(t0 + g * np.arange(size), u, cfg)
+                      for u in users]
+            lat, s = (lat - t0) // g, g
     filling = {}  # level index -> its values, until the level is complete
     for start in range(0, len(etas) * B, _CHUNK):
         stop = min(start + _CHUNK, len(etas) * B)
-        H = np.empty((len(users), cfg.N, stop - start), dtype=np.complex128)
-        pieces = []  # (level index, first y, last y + 1, first row in H)
+        H = np.empty((len(users), N, stop - start), dtype=np.complex128)
+        # (level index, first row, last row + 1, first row in H); rows
+        # count in the scoring order
+        pieces = []
         row = start
         while row < stop:
             lvl, a = divmod(row, B)
             b = min(B, a + stop - row)
-            for k, (t, u) in enumerate(zip(tables, users)):
-                abar = sparse_steering_matrix(etas[lvl], u.aoas, cfg)
-                H[k, :, row - start:row - start + b - a] = sum_paths(t[a:b], abar).T
-            pieces.append((lvl, a, b, row - start))
+            eta, p = etas[lvl], row - start
+            m = p + max(0, min(b, n_on) - a)  # H's first off-lattice row
+            if m > p:
+                q = lat[a:a + m - p] + LATTICE_STEPS * eta // s * np.arange(N)[:, None]
+                for k, u in enumerate(users):
+                    H[k, :, p:m] = (element_channels(q, u, cfg) if tables is None
+                                    else tables[k][q])
+            if b > n_on:
+                off = slice(max(a, n_on) - n_on, b - n_on)
+                for k, u in enumerate(users):
+                    abar = sparse_steering_matrix(eta, u.aoas, cfg)
+                    H[k, :, m:p + b - a] = sum_paths(shifts[k][off], abar).T
+            pieces.append((lvl, a, b, p))
             row += b - a
         vals = batch_objective(H.transpose(2, 0, 1), powers)
-        for lvl, a, b, off in pieces:
+        for lvl, a, b, p in pieces:
             if a == 0:
                 filling[lvl] = np.empty(B)
-            filling[lvl][a:b] = vals[off:off + b - a]
+            filling[lvl][a:b] = vals[p:p + b - a]
             if b == B:
-                yield etas[lvl], filling.pop(lvl)
+                out = np.empty(B)
+                out[order] = filling.pop(lvl)
+                yield etas[lvl], out
 
 
 def objective_metric(y: float, eta: int, users, powers: LinkPowers,

@@ -16,6 +16,7 @@ import os
 import platform
 import time
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -187,11 +188,12 @@ def run_trial_schemes(scenario: Scenario, schemes,
             if gma_solution is not None:
                 init = gma_element_positions(gma_solution.y_star,
                                              gma_solution.eta_star, cfg)
-            layout, metric = ma_optimize(users, powers, cfg, grid, settings,
-                                         init=init, restarts=ma_restarts)
+            layout, metric, evals = ma_optimize(users, powers, cfg, grid,
+                                                settings, init=init,
+                                                restarts=ma_restarts)
             wall = (time.perf_counter() - t0) * 1e3
             records.append(_record(scenario, "ma", float(layout.positions[0]),
-                                   None, metric, 0, wall,
+                                   None, metric, evals, wall,
                                    layout=tuple(layout.positions)))
         elif scheme == "oracle":
             step = oracle_step if oracle_step is not None else cfg.wavelength / 1000.0
@@ -279,6 +281,7 @@ def run_metadata(params: ScenarioParams, settings: OptimizerSettings,
     """Everything needed to interpret and reproduce a CSV."""
     payload = {
         "package_version": __version__,
+        "git_sha": git_sha(),
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         # bit-identical re-evaluation holds per numpy build and machine
         "environment": _environment(),
@@ -309,6 +312,28 @@ def _environment() -> dict:
             "machine": platform.machine(),
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "threads": {var: os.environ.get(var) for var in THREAD_VARIABLES}}
+
+
+def git_sha(root: Path | None = None) -> str | None:
+    """HEAD of the git checkout at root, by default the one that holds this
+    package, read from .git without running git; None outside a checkout
+    (an installed package, an exported tree)."""
+    if root is None:
+        root = Path(__file__).resolve().parents[2]
+    git = root / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return None
 
 
 def write_metadata(csv_path, payload: dict) -> None:

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from gma import baselines
 from gma.arrays import ArrayConfig, PathSet
 from gma.baselines import (MaLayout, exhaustive_search, fpa_metric,
                            gma_element_positions, layout_metric, ma_optimize,
@@ -85,7 +88,7 @@ class TestMaOptimize:
         cfg = make_cfg(M=8, N=4, span_wavelengths=6.0)
         users = [PathSet(gains=np.array([0.5 + 0.5j]), aoas=np.array([-0.3]))]
         powers = LinkPowers(p_bar=np.array([3.0]))
-        layout, metric = ma_optimize(users, powers, cfg)
+        layout, metric, _ = ma_optimize(users, powers, cfg)
         np.testing.assert_allclose(metric, 3.0 * 0.5 * cfg.N, rtol=1e-9)
 
     def test_ascent_from_group_solution_dominates_it(self):
@@ -93,13 +96,13 @@ class TestMaOptimize:
             cfg, users, powers = seeded_instance(seed)
             sol = optimize_multiuser(users, powers, cfg)
             init = gma_element_positions(sol.y_star, sol.eta_star, cfg)
-            layout, metric = ma_optimize(users, powers, cfg, init=init)
+            layout, metric, _ = ma_optimize(users, powers, cfg, init=init)
             assert metric >= layout_metric(init, users, powers, cfg)
             assert metric >= sol.objective
 
     def test_layout_respects_constraints(self):
         cfg, users, powers = seeded_instance(13)
-        layout, _ = ma_optimize(users, powers, cfg)
+        layout, _, _ = ma_optimize(users, powers, cfg)
         lo, hi = ma_span(cfg)
         gaps = np.diff(layout.positions)
         assert np.all(gaps >= cfg.wavelength / 2 * (1 - 1e-9))
@@ -112,14 +115,33 @@ class TestMaOptimize:
         users, powers = [ps], LinkPowers(p_bar=np.array([1.0]))
         sol = optimize_multiuser(users, powers, cfg)
         init = gma_element_positions(sol.y_star, sol.eta_star, cfg)
-        _, single = ma_optimize(users, powers, cfg, init=init)
-        _, best20 = ma_optimize(users, powers, cfg, restarts=20, seed=7)
+        _, single, _ = ma_optimize(users, powers, cfg, init=init)
+        _, best20, _ = ma_optimize(users, powers, cfg, restarts=20, seed=7)
         assert single >= 0.99 * best20
 
     def test_metric_matches_layout_reevaluation(self):
         cfg, users, powers = seeded_instance(21)
-        layout, metric = ma_optimize(users, powers, cfg)
+        layout, metric, _ = ma_optimize(users, powers, cfg)
         assert metric == layout_metric(layout.positions, users, powers, cfg)
+
+    def test_evals_count_every_scored_layout(self):
+        cfg, users, powers = seeded_instance(5)
+        sol = optimize_multiuser(users, powers, cfg)
+        init = gma_element_positions(sol.y_star, sol.eta_star, cfg)
+        with mock.patch.object(baselines, "layout_channel_stack",
+                               wraps=baselines.layout_channel_stack) as spy:
+            _, _, evals = ma_optimize(users, powers, cfg, init=init,
+                                      restarts=2, seed=3)
+        rows = sum(np.atleast_2d(c.args[0]).shape[0] for c in spy.call_args_list)
+        assert evals == rows > 1 + 2 * cfg.N
+
+    def test_records_carry_the_evals(self):
+        scenario = sample_scenario(ScenarioParams(K=2, M=16, seed=4), 0)
+        with mock.patch.object(baselines, "layout_channel_stack",
+                               wraps=baselines.layout_channel_stack) as spy:
+            (ma,) = run_trial_schemes(scenario, ("ma",), OptimizerSettings(),
+                                      GridSpec())
+        assert ma.evals == sum(c.args[0].shape[0] for c in spy.call_args_list)
 
     @pytest.mark.parametrize("params,trial", [
         (ScenarioParams(seed=10, M=32, region=(0.0, 31 * ScenarioParams().d)), 0),

@@ -4,10 +4,14 @@ import csv
 import json
 import os
 import platform
+import shutil
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gma import experiments
 from gma.cli import main
 from gma.experiments import CSV_COLUMNS
 
@@ -29,15 +33,35 @@ def write_config(tmp_path, config):
     pytest.param("config", {"ma_restarts": 1.7}, id="config-ma_restarts=1.7"),
     pytest.param("config", {"oracle_step": "x", "schemes": ["gma", "oracle"]},
                  id="config-oracle_step=x"),
+    pytest.param("config", {"schemes": []}, id="config-schemes=[]"),
+    pytest.param("config", {"schemes": ["gma", "fpa", "gma"]},
+                 id="config-schemes-twice"),
+    pytest.param("flag", {"schemes": "gma,gma"}, id="flag-scheme=gma,gma"),
+    pytest.param("flag", {"schemes": ","}, id="flag-scheme=,"),
+    pytest.param("config", {"region_multiples": []}, id="config-region_multiples=[]"),
+    pytest.param("config", {"region_multiples": ["a"]},
+                 id="config-region_multiples=a"),
+    pytest.param("config", {"region_multiples": [1, 2, 1.0]},
+                 id="config-region_multiples-twice"),
+    pytest.param("config", {"region_multiples": 2}, id="config-region_multiples=2"),
+    pytest.param("config", {"element_counts": []}, id="config-element_counts=[]"),
+    pytest.param("config", {"element_counts": [16, "16"]},
+                 id="config-element_counts=16,'16'"),
+    pytest.param("config", {"element_counts": [16, 16]},
+                 id="config-element_counts-twice"),
 ])
 def test_rejects_trial_count_below_one(tmp_path, capsys, source, experiment):
-    # covers every checked experiment value: seeds, ma_restarts, oracle_step
+    # covers every checked experiment value: seeds, ma_restarts, oracle_step,
+    # and the lists schemes, region_multiples and element_counts
     out = tmp_path / "out.csv"
+    sweep_lists = {"region_multiples", "element_counts"}
+    command = "sweep" if sweep_lists & set(experiment) else "compare"
     if source == "flag":
-        argv = ["compare", "--seeds", str(experiment["seeds"])]
+        ((key, value),) = experiment.items()
+        argv = [command, {"seeds": "--seeds", "schemes": "--scheme"}[key], str(value)]
     else:
         config = {"scenario": {"M": 16}, "experiment": experiment}
-        argv = ["compare", "--config", write_config(tmp_path, config)]
+        argv = [command, "--config", write_config(tmp_path, config)]
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
@@ -77,3 +101,29 @@ def test_small_compare_writes_csv_and_sidecar(tmp_path, capsys, monkeypatch):
         "threads": {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
                     "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}}
     assert meta["environment"]["blas"]["name"]
+    assert meta["git_sha"] == head_of(Path(experiments.__file__).resolve().parents[2])
+
+
+def head_of(root):
+    """HEAD as git itself reports it; None outside a checkout."""
+    if not (root / ".git").exists() or shutil.which("git") is None:
+        return None
+    done = subprocess.run(["git", "-C", str(root), "rev-parse", "--verify", "-q", "HEAD"],
+                          capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def test_git_sha_reads_loose_packed_and_detached_heads(tmp_path):
+    sha, other = "1" * 40, "2" * 40
+    assert experiments.git_sha(tmp_path) is None
+    git = tmp_path / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    assert experiments.git_sha(tmp_path) is None  # no commit yet
+    (git / "packed-refs").write_text(f"# pack-refs\n{other} refs/heads/dev\n"
+                                     f"{sha} refs/heads/main\n")
+    assert experiments.git_sha(tmp_path) == sha
+    (git / "refs" / "heads" / "main").write_text(other + "\n")
+    assert experiments.git_sha(tmp_path) == other
+    (git / "HEAD").write_text(sha + "\n")
+    assert experiments.git_sha(tmp_path) == sha

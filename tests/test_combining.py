@@ -2,18 +2,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from gma import combining
-from gma.arrays import PathSet, channel_vector
+from gma import arrays, combining
+from gma.arrays import (LATTICE_STEPS, ArrayConfig, PathSet, channel_vector,
+                        lattice_index)
 from gma.combining import (LinkPowers, batch_objective, batch_sinr,
                            batch_sum_rate, channel_stack, metric_profiles,
                            mrc_snr, noise_power_dbm, objective_metric)
+from gma.multiuser import scan
+from gma.optim import position_grid
 from gma.scenario import ScenarioParams, sample_scenario
 
-from util import (Combiner, combiner_sinr, interference_covariance, make_cfg,
-                  mmse_combiner, random_paths, sherman_morrison_sinr, sinr,
-                  sum_rate)
+from util import (WAVELENGTH, Combiner, combiner_sinr, interference_covariance,
+                  make_cfg, mmse_combiner, random_paths, sherman_morrison_sinr,
+                  sinr, sum_rate)
 
 
 def random_channels(rng, K, N=4, scale=1.0):
@@ -347,3 +350,68 @@ class TestBatchedEvaluation:
         with pytest.raises(ValueError):
             batch_sinr(np.zeros((3, 2, 4), dtype=complex),
                        LinkPowers(p_bar=np.array([1.0])))
+
+
+class TestLatticeTable:
+    """Scans read lattice channels off one table per user (arrays' lattice
+    rule); the values must stay those of objective_metric."""
+
+    @given(seed=st.integers(0, 10 ** 6),
+           anchor=st.sampled_from(["zero", "lattice", "off"]),
+           step_name=st.sampled_from(["d/8", "d/64", "d/512", "wavelength/100",
+                                      "random"]),
+           points=st.integers(0, 40), end=st.booleans(), confine=st.booleans(),
+           chunk=st.integers(1, 40), K=st.integers(1, 4), L=st.integers(1, 4),
+           N=st.integers(2, 4))
+    def test_grids_match_single_point_and_sub_batches(
+            self, seed, anchor, step_name, points, end, confine, chunk, K, L, N):
+        r = np.random.default_rng(seed)
+        d = WAVELENGTH / 2.0
+        y_min = {"zero": 0.0, "off": float(r.uniform(0.0, 1.0)),
+                 "lattice": int(r.integers(1, 10 ** 6)) * d / LATTICE_STEPS}[anchor]
+        step = {"d/8": d / 8, "d/64": d / 64, "d/512": d / 512,
+                "wavelength/100": WAVELENGTH / 100,
+                "random": float(r.uniform(0.1, 2.0)) * d / 64}[step_name]
+        eta_top = int(r.integers(1, 15 // (N - 1) + 1))
+        # with `end`, the region's upper end is off the grid and gets appended
+        span = (points + (float(r.uniform(0.05, 0.95)) if end else 0.0)) * step
+        aperture = (N - 1) * eta_top * d if confine else 0.0
+        cfg = ArrayConfig(M=16, N=N, wavelength=WAVELENGTH, y_min=y_min,
+                          y_max=y_min + aperture + span, confine_aperture=confine)
+        lo, hi = cfg.position_bounds(eta_top)
+        assume(lo <= hi)
+        pts = position_grid(lo, hi, step)
+        # position_grid's 1e-9 slack can put its last point an ulp above hi,
+        # where objective_metric refuses it (a defect of its own, in CHANGES)
+        assume(pts[-1] <= hi)
+        if step_name.startswith("d/"):
+            # a grid anchored at y_min with step d/2**k is on the lattice
+            assert lattice_index(pts, cfg)[1][:points + 1].all()
+        levels = sorted({int(e) for e in r.integers(1, eta_top + 1, 3)})
+        users = [random_paths(r, L=L) for _ in range(K)]
+        powers = LinkPowers(p_bar=r.uniform(0.5, 3.0, K))
+        a = int(r.integers(0, pts.size))
+        b = int(r.integers(a + 1, pts.size + 1))
+        with mock.patch.object(combining, "_CHUNK", chunk):
+            profiles = list(metric_profiles(pts, levels, users, powers, cfg))
+            parts = list(metric_profiles(pts[a:b], levels, users, powers, cfg))
+        assert [eta for eta, _ in profiles] == levels
+        for (eta, vals), (_, part) in zip(profiles, parts):
+            for i, y in enumerate(pts):
+                assert vals[i] == objective_metric(y, eta, users, powers, cfg)
+            assert np.array_equal(part, vals[a:b])
+
+    def test_default_scan_builds_one_table_per_user(self):
+        # 8,129 grid positions plus the (N-1)*eta_max*d/step = 3*42*8 that
+        # the top element of the sparsest level reaches beyond them
+        sc = sample_scenario(ScenarioParams(), 0)
+        cfg = sc.cfg
+        wrap = arrays.gain_weighted_shifts
+        with mock.patch.object(arrays, "gain_weighted_shifts", wraps=wrap) as a, \
+                mock.patch.object(combining, "gain_weighted_shifts", wraps=wrap) as c:
+            _, _, _, evals = scan(cfg.feasible_etas(), cfg.wavelength / 16.0,
+                                  sc.users, sc.powers, cfg)
+        rows = [call.args[0].size for call in a.call_args_list + c.call_args_list]
+        assert evals == 8129 * 42
+        assert len(rows) == sc.K
+        assert sum(rows) <= sc.K * (8129 + 3 * 42 * 8)
