@@ -82,12 +82,6 @@ class ArrayConfig:
         if self.y_min > self.y_max:
             raise ValueError(f"empty movable region [{self.y_min}, {self.y_max}]")
 
-    @classmethod
-    def from_frequency(cls, M: int, N: int, f_hz: float, y_min: float,
-                       y_max: float, **kwargs) -> "ArrayConfig":
-        return cls(M=M, N=N, wavelength=wavelength_from_frequency(f_hz),
-                   y_min=y_min, y_max=y_max, **kwargs)
-
     @property
     def d_bar(self) -> float:
         """Spacing normalized by the wavelength."""

@@ -90,7 +90,9 @@ def position_grid(lo: float, hi: float, step: float) -> np.ndarray:
 
     Grids with a common anchor and step nest across growing regions, which
     the domain-monotonicity guarantees rely on. hi is appended when it does
-    not land on the lattice so the boundary is always examined.
+    not land on the lattice so the boundary is always examined. No point
+    lies above hi: the slack that lets the last step reach hi despite
+    rounding can overshoot it by an ulp, and such a point becomes hi.
     """
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -98,6 +100,8 @@ def position_grid(lo: float, hi: float, step: float) -> np.ndarray:
         return np.array([lo])
     count = int(np.floor((hi - lo) / step + 1e-9))
     pts = lo + step * np.arange(count + 1)
-    if pts[-1] < hi - 1e-12 * max(1.0, abs(hi)):
+    if pts[-1] > hi:
+        pts[-1] = hi
+    elif pts[-1] < hi - 1e-12 * max(1.0, abs(hi)):
         pts = np.append(pts, hi)
     return pts

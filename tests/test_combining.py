@@ -381,12 +381,12 @@ class TestLatticeTable:
         lo, hi = cfg.position_bounds(eta_top)
         assume(lo <= hi)
         pts = position_grid(lo, hi, step)
-        # position_grid's 1e-9 slack can put its last point an ulp above hi,
-        # where objective_metric refuses it (a defect of its own, in CHANGES)
-        assume(pts[-1] <= hi)
         if step_name.startswith("d/"):
-            # a grid anchored at y_min with step d/2**k is on the lattice
-            assert lattice_index(pts, cfg)[1][:points + 1].all()
+            # a grid anchored at y_min with step d/2**k is on the lattice,
+            # except where its last step overshoots hi by an ulp and the
+            # point becomes hi
+            on = lattice_index(pts, cfg)[1]
+            assert on[:points].all() and (on[points] or pts[points] == hi)
         levels = sorted({int(e) for e in r.integers(1, eta_top + 1, 3)})
         users = [random_paths(r, L=L) for _ in range(K)]
         powers = LinkPowers(p_bar=r.uniform(0.5, 3.0, K))
@@ -415,3 +415,73 @@ class TestLatticeTable:
         assert evals == 8129 * 42
         assert len(rows) == sc.K
         assert sum(rows) <= sc.K * (8129 + 3 * 42 * 8)
+
+
+class TestLagRows:
+    """Runs of consecutive lattice rows of one level build S from lag rows
+    (combining's lag rule); the values must stay those of objective_metric."""
+
+    @given(seed=st.integers(0, 10 ** 6), K=st.integers(2, 6), N=st.integers(2, 6),
+           L=st.integers(1, 4), anchor=st.sampled_from(["zero", "lattice", "off"]),
+           points=st.integers(0, 96), end=st.booleans(), confine=st.booleans(),
+           chunk=st.sampled_from([None, 12, 33, 64]))
+    def test_lag_runs_match_single_point_and_sub_batches(
+            self, seed, K, N, L, anchor, points, end, confine, chunk):
+        r = np.random.default_rng(seed)
+        d = WAVELENGTH / 2.0
+        y_min = {"zero": 0.0, "off": float(r.uniform(0.0, 1.0)),
+                 "lattice": int(r.integers(1, 10 ** 6)) * d / LATTICE_STEPS}[anchor]
+        # a d/8 grid is on the lattice with stride s = 64, so a run of one
+        # level takes the lag rows when longer than e = 8*eta table steps
+        step, eta_top = d / 8, int(r.integers(1, 15 // (N - 1) + 1))
+        span = (points + (float(r.uniform(0.05, 0.95)) if end else 0.0)) * step
+        aperture = (N - 1) * eta_top * d if confine else 0.0
+        cfg = ArrayConfig(M=16, N=N, wavelength=WAVELENGTH, y_min=y_min,
+                          y_max=y_min + aperture + span, confine_aperture=confine)
+        pts = position_grid(*cfg.position_bounds(eta_top), step)
+        levels = sorted({int(e) for e in r.integers(1, eta_top + 1, 3)})
+        users = [random_paths(r, L=L) for _ in range(K)]
+        powers = LinkPowers(p_bar=r.uniform(0.5, 3.0, K))
+        a = int(r.integers(0, pts.size))
+        b = int(r.integers(a + 1, pts.size + 1))
+        with mock.patch.object(combining, "_CHUNK", chunk or combining._CHUNK), \
+                mock.patch.object(combining, "_lag_lower",
+                                  wraps=combining._lag_lower) as lag, \
+                mock.patch.object(combining, "_covariance_lower",
+                                  wraps=combining._covariance_lower) as rows:
+            profiles = list(metric_profiles(pts, levels, users, powers, cfg))
+            runs = [call.args[4:6] for call in lag.call_args_list]
+            by_rows = sum(call.args[0][0].shape[1] for call in rows.call_args_list)
+            parts = list(metric_profiles(pts[a:b], levels, users, powers, cfg))
+        # every row is scored once, from lag rows or row by row, and only
+        # runs longer than e take the lag rows
+        assert sum(w for w, _ in runs) + by_rows == pts.size * len(levels)
+        assert all(w > e for w, e in runs)
+        assert N > 2 or not runs
+        assert [eta for eta, _ in profiles] == levels
+        for (eta, vals), (_, part) in zip(profiles, parts):
+            for i, y in enumerate(pts):
+                assert vals[i] == objective_metric(y, eta, users, powers, cfg)
+            assert np.array_equal(part, vals[a:b])
+
+    def test_default_scan_takes_the_lag_path(self):
+        sc = sample_scenario(ScenarioParams(), 0)
+        cfg, etas = sc.cfg, sc.cfg.feasible_etas()
+        with mock.patch.object(combining, "_lag_lower",
+                               wraps=combining._lag_lower) as lag, \
+                mock.patch.object(combining, "_covariance_lower",
+                                  wraps=combining._covariance_lower) as rows, \
+                mock.patch.object(combining, "batch_sinr",
+                                  wraps=combining.batch_sinr) as sinr:
+            _, _, _, evals = scan(etas, cfg.wavelength / 16.0, sc.users,
+                                  sc.powers, cfg)
+        lag_rows = sum(call.args[4] for call in lag.call_args_list)
+        by_rows = sum(call.args[0][0].shape[1] for call in rows.call_args_list)
+        assert evals == 8129 * 42
+        # every scored row reaches batch_sinr, with S built one way or the other
+        assert sum(call.args[0].shape[0] for call in sinr.call_args_list) == evals
+        assert lag_rows + by_rows == evals
+        # the grid is all lattice rows, so S is built row by row only where a
+        # chunk boundary leaves at most e = 8*eta rows of a level, at either
+        # end of the level
+        assert by_rows <= sum(2 * 8 * eta for eta in etas)

@@ -58,6 +58,38 @@ class TestScan:
         assert (y, eta) == (cfg.y_min, etas[-1])
 
 
+class TestPositionGrid:
+    def test_last_point_never_exceeds_the_upper_end(self):
+        # at eta = 15 the confined upper end lands an ulp below the 41st
+        # d/8 step, which the grid once kept and objective_metric refused
+        d = WAVELENGTH / 2
+        cfg = ArrayConfig(M=16, N=2, wavelength=WAVELENGTH, y_min=0.0,
+                          y_max=15 * d + 40 * d / 8, confine_aperture=True)
+        lo, hi = cfg.position_bounds(15)
+        pts = position_grid(lo, hi, d / 8)
+        assert pts.size == 41 and pts[-1] == hi
+        assert np.all(np.diff(pts) > 0)
+        users = [PathSet(gains=[1.0], aoas=[0.3])] * 2
+        powers = LinkPowers(p_bar=np.array([1.0, 2.0]))
+        _, vals = next(metric_profiles(pts, [15], users, powers, cfg))
+        assert vals[-1] == objective_metric(pts[-1], 15, users, powers, cfg)
+
+    @given(seed=st.integers(0, 10 ** 6), steps=st.integers(0, 40),
+           eta=st.integers(1, 15), confine=st.booleans())
+    def test_every_point_lies_in_the_interval(self, seed, steps, eta, confine):
+        d = WAVELENGTH / 2
+        y_min = float(np.random.default_rng(seed).uniform(0.0, 0.1))
+        cfg = ArrayConfig(M=16, N=2, wavelength=WAVELENGTH, y_min=y_min,
+                          y_max=y_min + 15 * d + steps * d / 8,
+                          confine_aperture=confine)
+        lo, hi = cfg.position_bounds(eta)
+        pts = position_grid(lo, hi, d / 8)
+        assert pts[0] == lo and np.all(pts <= hi) and np.all(np.diff(pts) > 0)
+        assert hi - pts[-1] <= 1e-12 * max(1.0, abs(hi))
+        for y in pts[-2:]:
+            cfg.validate_position(y, eta)
+
+
 class TestConfinedAperture:
     def test_solutions_stay_inside_their_level_bounds(self):
         cfg = make_cfg(M=16, N=4, span_wavelengths=8.0, confine_aperture=True)
