@@ -9,11 +9,10 @@ a seeded experiment harness with CSV output.
 
 __version__ = "0.1.0"
 
-from .arrays import (ArrayConfig, ChannelVector, Path, PathSet,
-                     channel_vector, max_sparsity, sparse_steering, steering)
+from .arrays import ArrayConfig, PathSet, max_sparsity
 from .baselines import (MaLayout, exhaustive_search, fpa_metric,
                         gma_element_positions, ma_optimize)
-from .combining import LinkPowers, mrc_snr, objective_metric
+from .combining import LinkPowers, objective_metric
 from .experiments import (LandscapeResult, TrialRecord, landscape,
                           run_compare, run_sweep)
 from .multiuser import grid_position_search, optimize_multiuser, sparsity_search
@@ -23,13 +22,12 @@ from .sca import (optimize_position_sca, optimize_single_user,
                   optimize_sparsity, path_matrix, phase_vector)
 
 __all__ = [
-    "ArrayConfig", "ChannelVector", "GmaSolution", "GridSpec",
-    "LandscapeResult", "LinkPowers", "MaLayout", "OptimizerSettings", "Path",
-    "PathSet", "Scenario", "ScenarioParams", "TrialRecord", "channel_vector",
-    "exhaustive_search", "fpa_metric", "gma_element_positions",
+    "ArrayConfig", "GmaSolution", "GridSpec", "LandscapeResult", "LinkPowers",
+    "MaLayout", "OptimizerSettings", "PathSet", "Scenario", "ScenarioParams",
+    "TrialRecord", "exhaustive_search", "fpa_metric", "gma_element_positions",
     "grid_position_search", "landscape", "ma_optimize", "max_sparsity",
-    "mrc_snr", "objective_metric", "optimize_multiuser",
-    "optimize_position_sca", "optimize_single_user", "optimize_sparsity",
-    "path_matrix", "phase_vector", "run_compare", "run_sweep",
-    "sample_scenario", "sparse_steering", "sparsity_search", "steering",
+    "objective_metric", "optimize_multiuser", "optimize_position_sca",
+    "optimize_single_user", "optimize_sparsity", "path_matrix",
+    "phase_vector", "run_compare", "run_sweep", "sample_scenario",
+    "sparsity_search",
 ]

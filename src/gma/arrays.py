@@ -9,7 +9,7 @@ position y inside the movable region [y_min, y_max].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +45,8 @@ class ArrayConfig:
     Attributes:
         M: number of physical array elements.
         N: number of RF chains, i.e. selected (active) elements.
-        d: physical inter-element spacing in meters (default wavelength/2).
-        wavelength: carrier wavelength in meters.
+        wavelength: carrier wavelength in meters; the physical
+            inter-element spacing d is wavelength/2.
         y_min, y_max: movable-region bounds for the reference element, meters.
         confine_aperture: if True, also require the top selected element to
             stay below y_max (y + (N-1)*eta*d <= y_max). The default follows
@@ -61,7 +61,6 @@ class ArrayConfig:
     wavelength: float
     y_min: float
     y_max: float
-    d: float = field(default=0.0)
     confine_aperture: bool = False
 
     def __post_init__(self):
@@ -71,16 +70,15 @@ class ArrayConfig:
             raise ValueError(f"need at least 2 RF chains, got N={self.N}")
         if self.M < self.N:
             raise ValueError(f"M={self.M} must be >= N={self.N}")
-        if not (np.isfinite(self.wavelength) and self.wavelength > 0):
+        if not _as_real(self.wavelength, "wavelength") > 0:
             raise ValueError(f"invalid wavelength {self.wavelength}")
-        if self.d == 0.0:
-            object.__setattr__(self, "d", self.wavelength / 2.0)
-        if not (np.isfinite(self.d) and self.d > 0):
-            raise ValueError(f"invalid element spacing {self.d}")
-        if not (np.isfinite(self.y_min) and np.isfinite(self.y_max)):
-            raise ValueError("movable region bounds must be finite")
+        _as_pair((self.y_min, self.y_max), "movable region bounds")
         if self.y_min > self.y_max:
             raise ValueError(f"empty movable region [{self.y_min}, {self.y_max}]")
+
+    @property
+    def d(self) -> float:
+        return self.wavelength / 2.0
 
     @property
     def d_bar(self) -> float:
@@ -143,20 +141,6 @@ class ArrayConfig:
 
 
 @dataclass(frozen=True)
-class Path:
-    """One propagation path: complex gain and angle of arrival (radians)."""
-
-    gain: complex
-    aoa: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.gain):
-            raise ValueError(f"non-finite path gain {self.gain}")
-        if not (np.isfinite(self.aoa) and -np.pi / 2 <= self.aoa <= np.pi / 2):
-            raise ValueError(f"angle of arrival {self.aoa} outside [-pi/2, pi/2]")
-
-
-@dataclass(frozen=True)
 class PathSet:
     """One user's multipath description: L complex gains and L AoAs."""
 
@@ -179,76 +163,9 @@ class PathSet:
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "aoas", aoas)
 
-    @classmethod
-    def from_paths(cls, paths) -> "PathSet":
-        paths = list(paths)
-        return cls(gains=np.array([p.gain for p in paths]),
-                   aoas=np.array([p.aoa for p in paths]))
-
     @property
     def L(self) -> int:
         return self.gains.size
-
-
-@dataclass(frozen=True)
-class ChannelVector:
-    """Complex N-vector channel realized at a candidate (y, eta)."""
-
-    entries: np.ndarray
-    y: float
-    eta: int
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.complex128).copy()
-        if entries.ndim != 1:
-            raise ValueError("channel entries must be a 1-D complex vector")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("channel entries must be finite")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-    def __len__(self) -> int:
-        return self.entries.size
-
-
-def channel_entries(h) -> np.ndarray:
-    """Coerce a ChannelVector or array-like to a complex 1-D ndarray."""
-    if isinstance(h, ChannelVector):
-        return h.entries
-    return np.asarray(h, dtype=np.complex128)
-
-
-def sparse_steering(eta: int, theta: float, cfg: ArrayConfig) -> np.ndarray:
-    """Array response of the uniform sparse array with stride eta.
-
-    Entry n (0-based) is exp(1j * 2*pi * n * eta * d_bar * sin(theta)); the
-    first entry is exactly 1.
-    """
-    eta = cfg.validate_eta(eta)
-    n = np.arange(cfg.N)
-    phase = 2.0 * np.pi * n * eta * cfg.d_bar * np.sin(theta)
-    return np.exp(1j * phase)
-
-
-def steering(y: float, eta: int, theta: float, cfg: ArrayConfig) -> np.ndarray:
-    """Response of the sparse array shifted so its reference element sits at y.
-
-    Equals sparse_steering scaled by the global phase exp(1j*2*pi/wavelength
-    * y * sin(theta)) picked up by the propagation distance offset y*sin(theta).
-    """
-    y = cfg.validate_position(y, eta)
-    shift = np.exp(1j * 2.0 * np.pi / cfg.wavelength * y * np.sin(theta))
-    return shift * sparse_steering(eta, theta, cfg)
-
-
-def channel_vector(y: float, eta: int, paths: PathSet, cfg: ArrayConfig) -> ChannelVector:
-    """Multipath channel at (y, eta): sum of gain-weighted steering vectors."""
-    eta = cfg.validate_eta(eta)
-    y = cfg.validate_position(y, eta)
-    entries = np.zeros(cfg.N, dtype=np.complex128)
-    for gain, theta in zip(paths.gains, paths.aoas):
-        entries += gain * steering(y, eta, theta, cfg)
-    return ChannelVector(entries=entries, y=y, eta=eta)
 
 
 def sparse_steering_matrix(eta: int, aoas: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
@@ -368,3 +285,22 @@ def _as_int(value, name: str) -> int:
     if as_int != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return as_int
+
+
+def _is_real(value) -> bool:
+    """True for a finite int or float, numpy's included, but not a bool."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float, np.integer, np.floating)) and bool(np.isfinite(value))
+
+
+def _as_real(value, name: str):
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _as_pair(value, name: str) -> tuple:
+    """value, checked to be two finite numbers, as a tuple."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise ValueError(f"{name} must be a pair of numbers, got {value!r}")
+    return tuple(_as_real(v, name) for v in value)

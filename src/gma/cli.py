@@ -2,21 +2,20 @@
 
 Subcommands: landscape, single-user, multi-user, sweep, compare. Each reads
 an optional JSON config (sections: scenario, optimizer, grid, experiment;
-unknown keys are rejected), applies CLI overrides, writes a CSV plus a
-.meta.json sidecar, and prints a short summary.
+unknown keys and malformed values are rejected), applies CLI overrides,
+writes a CSV plus a .meta.json sidecar, and prints a short summary.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields, replace
 
 import numpy as np
 
-from .arrays import _as_int
+from .arrays import _as_int, _is_real
 from .experiments import (SCHEMES, landscape, run_compare, run_metadata,
                           run_sweep, write_landscape_csv, write_metadata,
                           write_records_csv)
@@ -118,13 +117,13 @@ def _experiment_values(exp: dict) -> dict:
     if restarts < 0:
         raise ConfigError(f"ma_restarts must be at least 0, got {restarts}")
     step = exp.get("oracle_step")
-    if step is not None and not (_is_number(step) and step > 0):
+    if step is not None and not (_is_real(step) and step > 0):
         raise ConfigError(
             f"oracle_step must be a finite number above 0, got {step!r}")
     checked = {"seeds": trials, "ma_restarts": restarts, "oracle_step": step}
     for key, ok, what in (
             ("schemes", lambda v: v in SCHEMES, f"among {SCHEMES}"),
-            ("region_multiples", lambda v: _is_number(v) and v >= 0,
+            ("region_multiples", lambda v: _is_real(v) and v >= 0,
              "finite numbers of at least 0"),
             ("element_counts", lambda v: type(v) is int, "integers")):
         if key not in exp:
@@ -139,10 +138,6 @@ def _experiment_values(exp: dict) -> dict:
             raise ConfigError(f"{key} lists a value twice: {list(values)}")
         checked[key] = tuple(values)
     return checked
-
-
-def _is_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _force_single_user(params: ScenarioParams) -> ScenarioParams:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (LATTICE_STEPS, ArrayConfig, channel_entries,
-                     channel_profile, element_channels, gain_weighted_shifts,
-                     lattice_index, sparse_steering_matrix, sum_paths)
+from .arrays import (LATTICE_STEPS, ArrayConfig, channel_profile,
+                     element_channels, gain_weighted_shifts, lattice_index,
+                     sparse_steering_matrix, sum_paths)
 
 # (y, eta) rows scored per step of metric_profiles: every batch_sinr call,
 # and the lag rows of a run, cover at most this many rows, so their arrays
@@ -70,15 +70,6 @@ class LinkPowers:
     @property
     def K(self) -> int:
         return self.p_bar.size
-
-
-def mrc_snr(h, p_bar: float) -> float:
-    """SNR after maximal-ratio combining: p_bar * ||h||^2."""
-    h = channel_entries(h)
-    p_bar = float(p_bar)
-    if not (np.isfinite(p_bar) and p_bar >= 0):
-        raise ValueError(f"p_bar must be finite and >= 0, got {p_bar}")
-    return p_bar * float(np.sum(np.abs(h) ** 2))
 
 
 # -- batched evaluation ------------------------------------------------------

@@ -6,10 +6,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arrays import _as_int, _as_real
+
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Stopping rules and initialization knobs shared by the optimizers.
+    """Stopping rules shared by the optimizers.
 
     Attributes:
         epsilon: stop when the fractional objective increase per outer round
@@ -17,29 +19,19 @@ class OptimizerSettings:
         max_sca_iters: cap on surrogate-ascent iterations per position
             subproblem.
         max_alt_iters: cap on alternating (position / sparsity) rounds.
-        multistart_grid_step: coarse-grid step (meters) used to seed each
-            position subproblem; None means wavelength/4.
-        eta_init: starting sparsity level for the single-user optimizer;
-            None picks the best point of the coarse grid scanned over all
-            feasible levels.
-        warm_start: include the incumbent position among the multistart
-            candidates of each round.
     """
 
     epsilon: float = 1e-4
     max_sca_iters: int = 200
     max_alt_iters: int = 50
-    multistart_grid_step: float | None = None
-    eta_init: int | None = None
-    warm_start: bool = True
 
     def __post_init__(self):
-        if not self.epsilon > 0:
+        for name in ("max_sca_iters", "max_alt_iters"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        if not _as_real(self.epsilon, "epsilon") > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_sca_iters < 1 or self.max_alt_iters < 1:
             raise ValueError("iteration caps must be >= 1")
-        if self.multistart_grid_step is not None and not self.multistart_grid_step > 0:
-            raise ValueError("multistart grid step must be positive")
 
 
 @dataclass(frozen=True)
@@ -56,8 +48,10 @@ class GridSpec:
     refine_factor: int = 8
 
     def __post_init__(self):
-        if self.step is not None and not self.step > 0:
+        if self.step is not None and not _as_real(self.step, "grid step") > 0:
             raise ValueError(f"grid step must be positive, got {self.step}")
+        for name in ("refine_levels", "refine_factor"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.refine_levels < 0:
             raise ValueError("refine_levels must be >= 0")
         if self.refine_factor < 2:

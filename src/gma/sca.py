@@ -21,7 +21,7 @@ from .optim import GmaSolution, OptimizerSettings, position_grid
 def path_matrix(eta: int, paths: PathSet, cfg: ArrayConfig) -> np.ndarray:
     """Gain-weighted sparse steering matrix, shape (N, L).
 
-    Column l is gains[l] * sparse_steering(eta, aoas[l]); the channel at
+    Column l is gains[l] * sparse_steering_matrix(eta, aoas)[l]; the channel at
     position y is then A @ phase_vector(y).
     """
     abar = sparse_steering_matrix(eta, paths.aoas, cfg)  # (L, N)
@@ -57,11 +57,10 @@ class ScaState:
     g_prime: float
     xi: float
     objective: float
-    iteration: int = 0
 
 
 def make_sca_state(y_j: float, A: np.ndarray, paths: PathSet,
-                   cfg: ArrayConfig, iteration: int = 0) -> ScaState:
+                   cfg: ArrayConfig) -> ScaState:
     f_j = phase_vector(y_j, paths, cfg)
     b = A.conj().T @ (A @ f_j)
     objective = float(np.real(np.vdot(f_j, b)))
@@ -72,39 +71,7 @@ def make_sca_state(y_j: float, A: np.ndarray, paths: PathSet,
     g_prime = -k0 * float(np.sum(abs_b * sin_t * np.sin(arg)))
     xi = k0 * k0 * float(np.sum(abs_b))
     return ScaState(y_j=float(y_j), b=b, g_prime=g_prime, xi=xi,
-                    objective=objective, iteration=iteration)
-
-
-def g_value(y, b: np.ndarray, aoas: np.ndarray, wavelength: float):
-    """Alignment term g(y) = sum_i |b_i| cos(2*pi/wavelength*y*sin(aoa_i) - angle(b_i))."""
-    y = np.asarray(y, dtype=np.float64)
-    arg = ((2.0 * np.pi / wavelength) * np.multiply.outer(y, np.sin(aoas))
-           - np.angle(b))
-    return np.sum(np.abs(b) * np.cos(arg), axis=-1)
-
-
-def g_derivative(y, b: np.ndarray, aoas: np.ndarray, wavelength: float):
-    y = np.asarray(y, dtype=np.float64)
-    k0 = 2.0 * np.pi / wavelength
-    sin_t = np.sin(aoas)
-    arg = k0 * np.multiply.outer(y, sin_t) - np.angle(b)
-    return -k0 * np.sum(np.abs(b) * sin_t * np.sin(arg), axis=-1)
-
-
-def g_second_derivative(y, b: np.ndarray, aoas: np.ndarray, wavelength: float):
-    y = np.asarray(y, dtype=np.float64)
-    k0 = 2.0 * np.pi / wavelength
-    sin_t = np.sin(aoas)
-    arg = k0 * np.multiply.outer(y, sin_t) - np.angle(b)
-    return -k0 * k0 * np.sum(np.abs(b) * sin_t ** 2 * np.cos(arg), axis=-1)
-
-
-def surrogate_value(y, state: ScaState, paths: PathSet, cfg: ArrayConfig):
-    """Concave quadratic minorant of g expanded at state.y_j."""
-    y = np.asarray(y, dtype=np.float64)
-    g_j = g_value(state.y_j, state.b, paths.aoas, cfg.wavelength)
-    dy = y - state.y_j
-    return g_j + state.g_prime * dy - 0.5 * state.xi * dy ** 2
+                    objective=objective)
 
 
 def surrogate_step(state: ScaState, bounds: tuple[float, float]) -> float:
@@ -135,13 +102,13 @@ def optimize_position_sca(eta: int, paths: PathSet, y0: float,
     A = path_matrix(eta, paths, cfg)
     state = make_sca_state(y, A, paths, cfg)
     trace = [state.objective]
-    for it in range(settings.max_sca_iters):
+    for _ in range(settings.max_sca_iters):
         if state.xi == 0.0:
             break
         y_next = surrogate_step(state, bounds)
         if y_next == state.y_j:
             break
-        nxt = make_sca_state(y_next, A, paths, cfg, iteration=it + 1)
+        nxt = make_sca_state(y_next, A, paths, cfg)
         trace.append(nxt.objective)
         increase = nxt.objective - state.objective
         stop = increase <= settings.epsilon * abs(state.objective)
@@ -168,47 +135,30 @@ def optimize_single_user(paths: PathSet, settings: OptimizerSettings,
                          cfg: ArrayConfig, p_bar: float = 1.0) -> GmaSolution:
     """Alternate SCA position updates with discrete sparsity search.
 
-    Initialization: with eta_init None, the starting (position, sparsity)
-    pair is the best point of the coarse multistart grid scanned across
-    every feasible sparsity level; alternation from the largest aperture
-    alone stalls in joint local optima far more often. An explicit
-    eta_init starts from that level's coarse-grid argmax instead.
+    Initialization: the starting (position, sparsity) pair is the best
+    point of a wavelength/4 multistart grid scanned across every feasible
+    sparsity level; alternation from the largest aperture alone stalls in
+    joint local optima far more often.
 
-    Each subsequent round seeds the position subproblem from the coarse
-    grid plus the incumbent, runs the surrogate ascent, then re-optimizes
-    the sparsity at the new position. Rounds stop when the fractional
+    Each subsequent round seeds the position subproblem from the same grid
+    plus the incumbent, runs the surrogate ascent, then re-optimizes the
+    sparsity at the new position. Rounds stop when the fractional
     objective increase drops below settings.epsilon.
     """
     feasible = cfg.feasible_etas()
     if not feasible:
         raise ValueError("movable region admits no feasible sparsity level")
-    step = (settings.multistart_grid_step if settings.multistart_grid_step is not None
-            else cfg.wavelength / 4.0)
+    step = cfg.wavelength / 4.0
     evals = 0
-
-    def coarse_scan(levels):
-        nonlocal evals
-        top = (-np.inf, None, None)
-        for e in levels:
-            lo, hi = cfg.position_bounds(e)
-            cand = position_grid(lo, hi, step)
-            vals = snr_profile(cand, e, paths, cfg)
-            evals += cand.size
-            i = int(np.argmax(vals))
-            if vals[i] > top[0]:
-                top = (float(vals[i]), float(cand[i]), e)
-        return top
-
-    if settings.eta_init is None:
-        init_val, y, eta = coarse_scan(feasible)
-    else:
-        eta = cfg.validate_eta(settings.eta_init)
-        if eta not in feasible:
-            eta = max(e for e in feasible if e < eta)
-        init_val, y, _ = coarse_scan([eta])
-    prev = init_val
-
-    best_val, best_y, best_eta = init_val, y, eta
+    best_val, best_y, best_eta = -np.inf, None, None
+    for e in feasible:
+        cand = position_grid(*cfg.position_bounds(e), step)
+        vals = snr_profile(cand, e, paths, cfg)
+        evals += cand.size
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val, best_y, best_eta = float(vals[i]), float(cand[i]), e
+    prev, y, eta = best_val, best_y, best_eta
     trace: list[float] = []
     sca_iters: list[int] = []
     rounds = 0
@@ -217,10 +167,7 @@ def optimize_single_user(paths: PathSet, settings: OptimizerSettings,
         if r == 0:
             y0 = y  # the initialization scan already found the coarse argmax
         else:
-            lo, hi = cfg.position_bounds(eta)
-            cand = position_grid(lo, hi, step)
-            if settings.warm_start:
-                cand = np.append(cand, y)
+            cand = np.append(position_grid(*cfg.position_bounds(eta), step), y)
             vals = snr_profile(cand, eta, paths, cfg)
             evals += cand.size
             y0 = float(cand[int(np.argmax(vals))])

@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, PathSet, wavelength_from_frequency
+from .arrays import (ArrayConfig, PathSet, _as_int, _as_pair, _as_real,
+                     wavelength_from_frequency)
 from .combining import LinkPowers
 
 PATH_GAIN_MODEL = "free-space-at-user-distance, equal average power per path"
@@ -56,6 +57,20 @@ class ScenarioParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("K", "paths_per_user", "N", "M", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        for name in ("f_carrier", "radius", "n0_dbm_hz", "bandwidth_hz"):
+            _as_real(getattr(self, name), name)
+        for name in ("center", "r_range", "theta_range", "region"):
+            if name != "region" or self.region is not None:
+                object.__setattr__(self, name, _as_pair(getattr(self, name), name))
+        powers = self.p_tx_dbm
+        powers = powers if isinstance(powers, (tuple, list)) else [powers]
+        for value in powers:
+            _as_real(value, "p_tx_dbm")
+        if not isinstance(self.confine_aperture, bool):
+            raise ValueError(
+                f"confine_aperture must be a bool, got {self.confine_aperture!r}")
         if self.K < 1:
             raise ValueError(f"need at least one user, got K={self.K}")
         if self.paths_per_user < 1:
@@ -71,10 +86,9 @@ class ScenarioParams:
             raise ValueError(f"bad angle range {self.theta_range}")
         if self.region is not None and not self.region[0] <= self.region[1]:
             raise ValueError(f"bad movable region {self.region}")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        p = np.atleast_1d(np.asarray(self.p_tx_dbm, dtype=np.float64))
-        if p.size not in (1, self.K):
+        if len(powers) not in (1, self.K):
             raise ValueError(f"p_tx_dbm must be scalar or length {self.K}")
 
     @property

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gma.arrays import (ArrayConfig, ChannelVector, Path, PathSet,
-                        channel_profile, channel_vector, max_sparsity,
-                        sparse_steering, steering)
+from gma.arrays import (ArrayConfig, PathSet, channel_profile, max_sparsity,
+                        sparse_steering_matrix)
 
 from util import WAVELENGTH, loop_channel, make_cfg, random_paths
 
@@ -98,66 +97,73 @@ class TestArrayConfig:
         assert cfg.feasible_etas(cfg.y_max + 1e-3) == []
 
 
+def steering_row(eta, theta, cfg):
+    """Sparse-array response to one AoA: a row of sparse_steering_matrix."""
+    return sparse_steering_matrix(eta, [theta], cfg)[0]
+
+
+def unit_path_channel(y, eta, theta, cfg):
+    """channel_profile at one (y, eta) for a single path of gain 1."""
+    ps = PathSet(gains=np.array([1.0 + 0j]), aoas=np.array([theta]))
+    return channel_profile([y], eta, ps, cfg)[0]
+
+
 class TestSparseSteering:
     def test_broadside_is_all_ones(self, cfg_small):
         for eta in (1, 3, 5):
-            assert np.array_equal(sparse_steering(eta, 0.0, cfg_small),
+            assert np.array_equal(steering_row(eta, 0.0, cfg_small),
                                   np.ones(cfg_small.N))
 
     def test_endfire_two_elements(self):
         cfg = make_cfg(M=4, N=2)
-        out = sparse_steering(1, np.pi / 2, cfg)
+        out = steering_row(1, np.pi / 2, cfg)
         np.testing.assert_allclose(out, [1.0, -1.0], atol=1e-12)
 
     def test_stride_two_at_thirty_degrees(self):
         cfg = make_cfg(M=4, N=2)
-        out = sparse_steering(2, np.pi / 6, cfg)
+        out = steering_row(2, np.pi / 6, cfg)
         np.testing.assert_allclose(out, [1.0, -1.0], atol=1e-12)
 
     def test_first_entry_exactly_one(self, cfg_small, rng):
         for theta in rng.uniform(-np.pi / 2, np.pi / 2, 5):
-            assert sparse_steering(2, theta, cfg_small)[0] == 1.0 + 0.0j
+            assert steering_row(2, theta, cfg_small)[0] == 1.0 + 0.0j
 
     @given(theta=st.floats(-np.pi / 2, np.pi / 2), eta=st.integers(1, 5))
     def test_unit_modulus_and_norm(self, theta, eta):
         cfg = make_cfg(M=16, N=4)
-        a = sparse_steering(eta, theta, cfg)
+        a = steering_row(eta, theta, cfg)
         np.testing.assert_allclose(np.abs(a), 1.0, rtol=1e-14)
         assert abs(np.sum(np.abs(a) ** 2) - cfg.N) <= cfg.N * 1e-14
 
     @given(theta=st.floats(-np.pi / 2, np.pi / 2), eta=st.integers(1, 5))
     def test_negated_angle_conjugates(self, theta, eta):
         cfg = make_cfg(M=16, N=4)
-        np.testing.assert_allclose(sparse_steering(eta, -theta, cfg),
-                                   sparse_steering(eta, theta, cfg).conj(),
+        np.testing.assert_allclose(steering_row(eta, -theta, cfg),
+                                   steering_row(eta, theta, cfg).conj(),
                                    atol=1e-15)
 
     def test_compact_selection_matches_half_wavelength_phases(self, rng):
         cfg = make_cfg(M=16, N=4)
         theta = rng.uniform(-np.pi / 2, np.pi / 2)
         expected = np.exp(1j * 2.0 * np.pi * np.arange(4) * 0.5 * np.sin(theta))
-        np.testing.assert_allclose(sparse_steering(1, theta, cfg), expected,
+        np.testing.assert_allclose(steering_row(1, theta, cfg), expected,
                                    rtol=1e-14)
 
     def test_rejects_invalid_eta(self, cfg_small):
         for bad in (0, cfg_small.eta_max + 1, 2.5):
             with pytest.raises(ValueError):
-                sparse_steering(bad, 0.3, cfg_small)
+                steering_row(bad, 0.3, cfg_small)
 
 
-class TestSteering:
-    def test_zero_position_reduces_to_sparse_steering(self, cfg_small):
-        assert np.array_equal(steering(0.0, 2, 0.4, cfg_small),
-                              sparse_steering(2, 0.4, cfg_small))
-
+class TestSinglePathChannel:
     def test_broadside_ignores_position(self, cfg_small):
         for y in (0.0, 0.013, cfg_small.y_max):
-            np.testing.assert_allclose(steering(y, 3, 0.0, cfg_small),
+            np.testing.assert_allclose(unit_path_channel(y, 3, 0.0, cfg_small),
                                        np.ones(cfg_small.N), rtol=1e-14)
 
     def test_full_wavelength_shift_is_identity_phase(self):
         cfg = make_cfg(M=4, N=2, span_wavelengths=2.0)
-        out = steering(WAVELENGTH, 1, np.pi / 2, cfg)
+        out = unit_path_channel(WAVELENGTH, 1, np.pi / 2, cfg)
         np.testing.assert_allclose(out, [1.0, -1.0], atol=1e-9)
 
     def test_global_phase_ratio_is_constant_unit_modulus(self, cfg_small, rng):
@@ -165,35 +171,24 @@ class TestSteering:
             y = rng.uniform(cfg_small.y_min, cfg_small.y_max)
             theta = rng.uniform(-np.pi / 2, np.pi / 2)
             eta = int(rng.integers(1, cfg_small.eta_max + 1))
-            ratio = steering(y, eta, theta, cfg_small) / sparse_steering(eta, theta, cfg_small)
+            ratio = (unit_path_channel(y, eta, theta, cfg_small)
+                     / steering_row(eta, theta, cfg_small))
             np.testing.assert_allclose(ratio, ratio[0], atol=1e-12)
             assert abs(abs(ratio[0]) - 1.0) < 1e-12
 
     def test_norm_squared_is_element_count(self, cfg_small, rng):
         y = rng.uniform(0.0, cfg_small.y_max)
-        a = steering(y, 2, -0.7, cfg_small)
+        a = unit_path_channel(y, 2, -0.7, cfg_small)
         assert abs(np.sum(np.abs(a) ** 2) - cfg_small.N) <= cfg_small.N * 1e-14
 
     def test_rejects_position_outside_region(self, cfg_small):
         with pytest.raises(ValueError):
-            steering(cfg_small.y_max + 1e-6, 1, 0.0, cfg_small)
+            cfg_small.validate_position(cfg_small.y_max + 1e-6, 1)
         with pytest.raises(ValueError):
-            steering(cfg_small.y_min - 1e-6, 1, 0.0, cfg_small)
+            cfg_small.validate_position(cfg_small.y_min - 1e-6, 1)
 
 
 class TestPathTypes:
-    def test_path_validation(self):
-        Path(gain=1.0 + 2.0j, aoa=0.5)
-        with pytest.raises(ValueError):
-            Path(gain=np.nan, aoa=0.0)
-        with pytest.raises(ValueError):
-            Path(gain=1.0, aoa=2.0)
-
-    def test_path_set_from_paths(self):
-        ps = PathSet.from_paths([Path(1.0, 0.1), Path(2j, -0.2)])
-        assert ps.L == 2
-        np.testing.assert_array_equal(ps.gains, [1.0, 2j])
-
     def test_path_set_rejects_bad_input(self):
         with pytest.raises(ValueError):
             PathSet(gains=np.array([]), aoas=np.array([]))
@@ -207,31 +202,22 @@ class TestPathTypes:
         with pytest.raises(ValueError):
             ps.gains[0] = 2.0
 
-    def test_channel_vector_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ChannelVector(entries=np.array([np.nan + 0j]), y=0.0, eta=1)
 
-
-class TestChannelVector:
-    def test_single_path_equals_steering(self, cfg_small):
-        ps = PathSet(gains=np.array([1.0 + 0j]), aoas=np.array([0.6]))
-        h = channel_vector(0.02, 2, ps, cfg_small)
-        assert np.array_equal(h.entries, steering(0.02, 2, 0.6, cfg_small))
-        assert (h.y, h.eta) == (0.02, 2)
-
+class TestChannelProfile:
     def test_opposite_gains_cancel(self, cfg_small):
         ps = PathSet(gains=np.array([0.7 + 0.2j, -(0.7 + 0.2j)]),
                      aoas=np.array([0.3, 0.3]))
-        h = channel_vector(0.01, 1, ps, cfg_small)
-        assert np.array_equal(h.entries, np.zeros(cfg_small.N))
+        # 0.01 is off the position lattice, 0.0 is on it
+        h = channel_profile([0.01, 0.0], 1, ps, cfg_small)
+        assert np.array_equal(h, np.zeros((2, cfg_small.N)))
 
     def test_matches_pure_python_loop(self, cfg_small, rng):
         for _ in range(5):
             ps = random_paths(rng, L=int(rng.integers(1, 6)))
             y = rng.uniform(0.0, cfg_small.y_max)
             eta = int(rng.integers(1, cfg_small.eta_max + 1))
-            h = channel_vector(y, eta, ps, cfg_small)
-            np.testing.assert_allclose(h.entries, loop_channel(y, eta, ps, cfg_small),
+            h = channel_profile([y], eta, ps, cfg_small)[0]
+            np.testing.assert_allclose(h, loop_channel(y, eta, ps, cfg_small),
                                        rtol=1e-12, atol=1e-15)
 
     @given(seed=st.integers(0, 10 ** 6))
@@ -241,20 +227,20 @@ class TestChannelVector:
         ps = random_paths(r, L=int(r.integers(1, 6)))
         y = r.uniform(0.0, cfg.y_max)
         eta = int(r.integers(1, cfg.eta_max + 1))
-        h = channel_vector(y, eta, ps, cfg)
+        h = channel_profile([y], eta, ps, cfg)[0]
         bound = np.sum(np.abs(ps.gains)) * np.sqrt(cfg.N)
-        assert np.linalg.norm(h.entries) <= bound * (1 + 1e-12)
+        assert np.linalg.norm(h) <= bound * (1 + 1e-12)
 
     def test_aligned_paths_attain_triangle_bound(self, cfg_small):
         ps = PathSet(gains=np.array([0.5, 1.5]), aoas=np.array([0.4, 0.4]))
-        h = channel_vector(0.0, 2, ps, cfg_small)
+        h = channel_profile([0.0], 2, ps, cfg_small)[0]
         bound = np.sum(np.abs(ps.gains)) * np.sqrt(cfg_small.N)
-        np.testing.assert_allclose(np.linalg.norm(h.entries), bound, rtol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(h), bound, rtol=1e-12)
 
     def test_profile_matches_single_point_synthesis(self, cfg_small, rng):
         ps = random_paths(rng, L=3)
         ys = rng.uniform(0.0, cfg_small.y_max, 7)
         prof = channel_profile(ys, 4, ps, cfg_small)
         for b, y in enumerate(ys):
-            np.testing.assert_allclose(prof[b], channel_vector(y, 4, ps, cfg_small).entries,
+            np.testing.assert_allclose(prof[b], loop_channel(y, 4, ps, cfg_small),
                                        rtol=1e-12, atol=1e-15)

@@ -12,6 +12,7 @@ from gma.combining import LinkPowers, objective_metric
 from gma.experiments import run_trial_schemes
 from gma.multiuser import optimize_multiuser, scan
 from gma.optim import GridSpec, OptimizerSettings, position_grid
+from gma.sca import snr_profile
 from gma.scenario import ScenarioParams, sample_scenario
 
 from util import WAVELENGTH, make_cfg, random_paths, sum_rate
@@ -236,3 +237,49 @@ class TestExhaustiveSearch:
         with pytest.raises(ValueError):
             exhaustive_search(users, LinkPowers(p_bar=np.array([1.0])),
                               cfg_small, -1.0)
+
+
+class TestExhaustiveSingleUserPlainForm:
+    """The single-user grid search without the pair tables: one path, or
+    more pair-table entries than the cap of 4,000,000."""
+
+    @staticmethod
+    def search_and_reference(paths, cfg, step, p_bar=1.7):
+        """exhaustive_search's result, and the best snr_profile value over
+        the same levels and grids, its (y, eta) and the points scored."""
+        got = exhaustive_search([paths], LinkPowers(p_bar=np.array([p_bar])),
+                                cfg, step)
+        best, points = (-np.inf, None, None), 0
+        for eta in cfg.feasible_etas():
+            grid = position_grid(*cfg.position_bounds(eta), step)
+            vals = snr_profile(grid, eta, paths, cfg, p_bar)
+            points += grid.size
+            i = int(np.argmax(vals))
+            if vals[i] > best[0]:
+                best = (float(vals[i]), float(grid[i]), eta)
+        return got, best, points
+
+    @pytest.mark.parametrize("confine", [False, True])
+    def test_one_path_is_flat_at_every_level(self, confine):
+        cfg = make_cfg(M=16, N=4, span_wavelengths=3.0, confine_aperture=confine)
+        ps = PathSet(gains=np.array([0.8 * np.exp(0.4j)]), aoas=np.array([-0.3]))
+        (y, eta, val, evals), (ref, _, _), points = self.search_and_reference(
+            ps, cfg, cfg.wavelength / 200)
+        np.testing.assert_allclose(val, ref, rtol=1e-9)
+        np.testing.assert_allclose(val, 1.7 * 0.64 * cfg.N, rtol=1e-9)
+        np.testing.assert_allclose(
+            snr_profile([y], eta, ps, cfg, 1.7)[0], ref, rtol=1e-9)
+        lo, hi = cfg.position_bounds(eta)
+        assert lo <= y <= hi and evals == points
+
+    def test_pair_tables_above_the_cap(self):
+        # M = N: eta = 1 is the only level; 10 paths give 45 path pairs
+        cfg = make_cfg(M=4, N=4, span_wavelengths=90.0)
+        ps = random_paths(np.random.default_rng(5), L=10)
+        step = cfg.wavelength / 1000
+        size = position_grid(cfg.y_min, cfg.y_max, step).size
+        assert size * 45 > 4_000_000
+        (y, eta, val, evals), (ref, y_ref, eta_ref), points = (
+            self.search_and_reference(ps, cfg, step))
+        np.testing.assert_allclose(val, ref, rtol=1e-9)
+        assert (y, eta, evals) == (y_ref, eta_ref, points) == (y, 1, size)

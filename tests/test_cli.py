@@ -14,6 +14,8 @@ import pytest
 from gma import experiments
 from gma.cli import main
 from gma.experiments import CSV_COLUMNS
+from gma.optim import position_grid
+from gma.scenario import ScenarioParams
 
 
 def write_config(tmp_path, config):
@@ -127,3 +129,117 @@ def test_git_sha_reads_loose_packed_and_detached_heads(tmp_path):
     assert experiments.git_sha(tmp_path) == other
     (git / "HEAD").write_text(sha + "\n")
     assert experiments.git_sha(tmp_path) == sha
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    pytest.param([], {"scenario": {"K": "5"}}, "K", id="K='5'"),
+    pytest.param([], {"scenario": {"K": True}}, "K", id="K=true"),
+    pytest.param([], {"scenario": {"paths_per_user": 2.5}}, "paths_per_user",
+                 id="paths_per_user=2.5"),
+    pytest.param([], {"scenario": {"seed": 1.5}}, "seed", id="seed=1.5"),
+    pytest.param([], {"scenario": {"region": [0, "a"]}}, "region",
+                 id="region=[0,'a']"),
+    pytest.param([], {"scenario": {"center": [1]}}, "center", id="center=[1]"),
+    pytest.param([], {"scenario": {"confine_aperture": 1}}, "confine_aperture",
+                 id="confine_aperture=1"),
+    pytest.param([], {"grid": {"step": "a"}}, "grid step", id="step='a'"),
+    pytest.param([], {"optimizer": {"epsilon": "a"}}, "epsilon", id="epsilon='a'"),
+    pytest.param([], {"optimizer": {"max_alt_iters": 2.5}}, "max_alt_iters",
+                 id="max_alt_iters=2.5"),
+    pytest.param([], {"grid": {"refine_levels": 1.5}}, "refine_levels",
+                 id="refine_levels=1.5"),
+    pytest.param(["--grid-step", "inf"], {}, "grid step", id="flag-grid-step=inf"),
+    pytest.param([], {"optimizer": {"eta_init": 2}}, "unknown optimizer keys",
+                 id="removed-eta_init"),
+    pytest.param([], {"optimizer": {"warm_start": False}}, "unknown optimizer keys",
+                 id="removed-warm_start"),
+    pytest.param([], {"optimizer": {"multistart_grid_step": 0.001}},
+                 "unknown optimizer keys", id="removed-multistart_grid_step"),
+])
+def test_rejects_malformed_config_values(tmp_path, capsys, argv, config, named):
+    out = tmp_path / "out.csv"
+    config = dict(config, scenario={"M": 16, **config.get("scenario", {})})
+    assert main(["compare", "--config", write_config(tmp_path, config),
+                 "--scheme", "gma", "--out", str(out)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
+SMALL_SCENARIO = {"M": 16, "K": 2, "paths_per_user": 3, "region": [0.0, 0.03]}
+
+
+def run_command(tmp_path, capsys, command, scenario=SMALL_SCENARIO,
+                experiment=None, flags=()):
+    """Runs one gma-sim command; returns its CSV rows, sidecar and stdout."""
+    out = tmp_path / f"{command}.csv"
+    config = {"scenario": scenario, "experiment": experiment or {}}
+    argv = [command, "--config", write_config(tmp_path, config), "--out", str(out)]
+    assert main(argv + list(flags)) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    meta = json.loads((tmp_path / f"{command}.csv.meta.json").read_text())
+    assert meta["command"] == command
+    return rows, meta, capsys.readouterr().out
+
+
+def scenario_cfg(scenario):
+    return ScenarioParams(**{k: tuple(v) if isinstance(v, list) else v
+                             for k, v in scenario.items()}).array_config()
+
+
+class TestCommands:
+    def test_landscape_scores_every_level_on_the_grid(self, tmp_path, capsys):
+        rows, meta, stdout = run_command(tmp_path, capsys, "landscape")
+        cfg = scenario_cfg(SMALL_SCENARIO)
+        ys = position_grid(cfg.y_min, cfg.y_max, cfg.wavelength / 16)
+        assert tuple(rows[0]) == ("y", "eta", "metric")
+        assert len(rows) - 1 == ys.size * len(cfg.feasible_etas())
+        assert [int(r[1]) for r in rows[1::ys.size]] == cfg.feasible_etas()
+        assert all(np.isfinite(float(r[2])) for r in rows[1:])
+        assert meta["trials"] == 1 and "landscape: max" in stdout
+
+    def test_confined_landscape_marks_positions_above_a_level_nan(
+            self, tmp_path, capsys):
+        scenario = dict(SMALL_SCENARIO, confine_aperture=True)
+        rows, _, _ = run_command(tmp_path, capsys, "landscape", scenario)
+        cfg = scenario_cfg(scenario)
+        ys = position_grid(cfg.y_min, cfg.y_max, cfg.wavelength / 16)
+        assert len(rows) - 1 == ys.size * len(cfg.feasible_etas())
+        nan_rows = 0
+        for y, eta, metric in rows[1:]:
+            above = float(y) > cfg.position_bounds(int(eta))[1]
+            assert np.isnan(float(metric)) == above
+            nan_rows += above
+        assert nan_rows > 0
+
+    def test_seed_and_grid_step_flags_reach_the_sidecar(self, tmp_path, capsys):
+        step = 0.002
+        rows, meta, _ = run_command(tmp_path, capsys, "landscape",
+                                    flags=["--seed", "7", "--grid-step", str(step)])
+        cfg = scenario_cfg(SMALL_SCENARIO)
+        ys = position_grid(cfg.y_min, cfg.y_max, step)
+        assert len(rows) - 1 == ys.size * len(cfg.feasible_etas())
+        assert (meta["master_seed"], meta["scenario"]["seed"]) == (7, 7)
+        assert meta["grid"]["step"] == step
+
+    @pytest.mark.parametrize("command, K", [("single-user", 1), ("multi-user", 2)])
+    def test_optimizer_commands_write_one_gma_row_per_trial(
+            self, tmp_path, capsys, command, K):
+        rows, meta, stdout = run_command(tmp_path, capsys, command,
+                                         experiment={"seeds": 2})
+        assert tuple(rows[0]) == CSV_COLUMNS
+        assert [(r[0], r[1], r[2], r[3]) for r in rows[1:]] == [
+            ("0", "gma", str(K), "16"), ("1", "gma", str(K), "16")]
+        assert meta["trials"] == 2
+        assert "(2 records)" in stdout
+
+    def test_sweep_writes_every_cell(self, tmp_path, capsys):
+        experiment = {"region_multiples": [0.25, 0.5], "element_counts": [16, 20]}
+        rows, meta, stdout = run_command(tmp_path, capsys, "sweep",
+                                         experiment=experiment)
+        assert tuple(rows[0]) == CSV_COLUMNS
+        assert [(r[1], r[3]) for r in rows[1:]] == [
+            (scheme, m) for m in ("16", "20") for _ in range(2)
+            for scheme in ("gma", "fpa")]
+        assert meta["trials"] == 1 and "(8 records)" in stdout

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from gma import arrays, combining
-from gma.arrays import (LATTICE_STEPS, ArrayConfig, PathSet, channel_vector,
-                        lattice_index)
+from gma.arrays import LATTICE_STEPS, ArrayConfig, PathSet, lattice_index
 from gma.combining import (LinkPowers, batch_objective, batch_sinr,
                            batch_sum_rate, channel_stack, metric_profiles,
-                           mrc_snr, noise_power_dbm, objective_metric)
+                           noise_power_dbm, objective_metric)
 from gma.multiuser import scan
 from gma.optim import position_grid
 from gma.scenario import ScenarioParams, sample_scenario
 
 from util import (WAVELENGTH, Combiner, combiner_sinr, interference_covariance,
-                  make_cfg, mmse_combiner, random_paths, sherman_morrison_sinr,
-                  sinr, sum_rate)
+                  loop_channel, make_cfg, mmse_combiner, random_paths,
+                  sherman_morrison_sinr, sinr, sum_rate)
 
 
 def random_channels(rng, K, N=4, scale=1.0):
@@ -41,12 +40,16 @@ class TestPowers:
         assert LinkPowers(p_bar=np.array([0.0])).K == 1
 
 
-class TestMrcSnr:
+class TestSingleUserSnr:
+    """batch_sinr with K = 1 is the maximal-ratio SNR p * sum |h|^2."""
+
     def test_all_ones_channel(self):
-        assert mrc_snr(np.ones(4, dtype=complex), 1.0) == 4.0
+        H = np.ones((1, 1, 4), dtype=complex)
+        assert batch_sinr(H, LinkPowers(p_bar=np.array([1.0])))[0, 0] == 4.0
 
     def test_zero_channel(self):
-        assert mrc_snr(np.zeros(4, dtype=complex), 5.0) == 0.0
+        H = np.zeros((1, 1, 4), dtype=complex)
+        assert batch_sinr(H, LinkPowers(p_bar=np.array([5.0])))[0, 0] == 0.0
 
     def test_single_unit_path_is_flat_in_position_and_sparsity(self, cfg_small, rng):
         ps = PathSet(gains=np.array([np.exp(0.3j)]), aoas=np.array([-0.4]))
@@ -54,13 +57,9 @@ class TestMrcSnr:
         for _ in range(10):
             y = rng.uniform(0.0, cfg_small.y_max)
             eta = int(rng.integers(1, cfg_small.eta_max + 1))
-            h = channel_vector(y, eta, ps, cfg_small)
-            np.testing.assert_allclose(mrc_snr(h, p_bar), p_bar * cfg_small.N,
-                                       rtol=1e-12)
-
-    def test_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            mrc_snr(np.ones(4, dtype=complex), -1.0)
+            H = channel_stack(np.array([y]), eta, [ps], cfg_small)
+            snr = batch_sinr(H, LinkPowers(p_bar=np.array([p_bar])))[0, 0]
+            np.testing.assert_allclose(snr, p_bar * cfg_small.N, rtol=1e-12)
 
 
 class TestInterferenceCovariance:
@@ -147,8 +146,9 @@ class TestSinr:
     def test_single_user_equals_mrc(self, cfg_small, rng):
         ps = random_paths(rng, L=3)
         powers = LinkPowers(p_bar=np.array([2.0]))
-        h = channel_vector(0.01, 2, ps, cfg_small)
-        assert sinr(0, 0.01, 2, [ps], powers, cfg_small) == mrc_snr(h, 2.0)
+        h = loop_channel(0.01, 2, ps, cfg_small)
+        assert (sinr(0, 0.01, 2, [ps], powers, cfg_small)
+                == batch_sinr(h[None, None], powers)[0, 0])
 
     def test_orthogonal_interferer_costs_nothing(self, cfg_small):
         # eta=1, y=0, half-wavelength spacing: AoAs 0 and arcsin(1/2) give
@@ -156,8 +156,8 @@ class TestSinr:
         users = [PathSet(gains=np.array([1.0 + 0j]), aoas=np.array([0.0])),
                  PathSet(gains=np.array([1.0 + 0j]), aoas=np.array([np.arcsin(0.5)]))]
         powers = LinkPowers(p_bar=np.array([3.0, 3.0]))
-        h1 = channel_vector(0.0, 1, users[0], cfg_small).entries
-        h2 = channel_vector(0.0, 1, users[1], cfg_small).entries
+        h1 = loop_channel(0.0, 1, users[0], cfg_small)
+        h2 = loop_channel(0.0, 1, users[1], cfg_small)
         assert abs(np.vdot(h2, h1)) < 1e-12
         got = sinr(0, 0.0, 1, users, powers, cfg_small)
         expected = sherman_morrison_sinr(3.0, h1, 3.0, h2)
@@ -168,7 +168,7 @@ class TestSinr:
         ps = random_paths(rng, L=2)
         users = [ps, ps]
         powers = LinkPowers(p_bar=np.array([2.0, 5.0]))
-        h = channel_vector(0.003, 2, ps, cfg_small).entries
+        h = loop_channel(0.003, 2, ps, cfg_small)
         got = sinr(0, 0.003, 2, users, powers, cfg_small)
         h2 = np.sum(np.abs(h) ** 2)
         np.testing.assert_allclose(got, 2.0 * h2 / (1.0 + 5.0 * h2), rtol=1e-9)
@@ -184,7 +184,7 @@ class TestSinr:
         powers = LinkPowers(p_bar=r.uniform(0.5, 4.0, K))
         y = r.uniform(0.0, cfg.y_max)
         eta = int(r.integers(1, cfg.eta_max + 1))
-        hs = [channel_vector(y, eta, u, cfg).entries for u in users]
+        hs = [loop_channel(y, eta, u, cfg) for u in users]
         C = interference_covariance(0, hs, powers)
         v = mmse_combiner(hs[0], C)
         quotient = combiner_sinr(v, hs[0], C, powers.p_bar[0])
@@ -284,9 +284,9 @@ class TestBatchedEvaluation:
     def test_objective_metric_units(self, cfg_small, rng):
         ps = random_paths(rng, L=2)
         one = LinkPowers(p_bar=np.array([2.0]))
-        h = channel_vector(0.01, 2, ps, cfg_small)
+        h = loop_channel(0.01, 2, ps, cfg_small)
         np.testing.assert_allclose(objective_metric(0.01, 2, [ps], one, cfg_small),
-                                   mrc_snr(h, 2.0), rtol=1e-12)
+                                   2.0 * np.sum(np.abs(h) ** 2), rtol=1e-12)
         users = [random_paths(rng, L=2) for _ in range(3)]
         many = LinkPowers(p_bar=np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(

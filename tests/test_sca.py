@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gma.arrays import PathSet, channel_vector, sparse_steering
+from gma.arrays import PathSet, sparse_steering_matrix
 from gma.optim import OptimizerSettings, position_grid
-from gma.sca import (ScaState, g_derivative, g_second_derivative, g_value,
-                     make_sca_state, optimize_position_sca, optimize_single_user,
-                     optimize_sparsity, path_matrix, phase_vector, snr_profile,
-                     surrogate_step, surrogate_value)
+from gma.sca import (ScaState, make_sca_state, optimize_position_sca,
+                     optimize_single_user, optimize_sparsity, path_matrix,
+                     phase_vector, snr_profile, surrogate_step)
 
-from util import WAVELENGTH, fd_highprec, make_cfg, random_paths
+from util import (WAVELENGTH, fd_highprec, g_derivative, g_second_derivative,
+                  g_value, loop_channel, make_cfg, random_paths, surrogate_value)
 
 SETTINGS = OptimizerSettings()
 
@@ -20,7 +20,7 @@ def two_path(rng, equal_amplitude=True):
 
 def objective(y, eta, paths, cfg):
     """Independent re-evaluation of ||A f||^2 through the channel route."""
-    return float(np.sum(np.abs(channel_vector(y, eta, paths, cfg).entries) ** 2))
+    return float(np.sum(np.abs(loop_channel(y, eta, paths, cfg)) ** 2))
 
 
 class TestPathMatrix:
@@ -34,7 +34,8 @@ class TestPathMatrix:
         A = path_matrix(1, ps, cfg_small)
         for l in range(2):
             np.testing.assert_allclose(
-                A[:, l], ps.gains[l] * sparse_steering(1, ps.aoas[l], cfg_small),
+                A[:, l],
+                ps.gains[l] * sparse_steering_matrix(1, [ps.aoas[l]], cfg_small)[0],
                 rtol=1e-14)
 
     def test_column_norms(self, cfg_small, rng):

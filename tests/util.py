@@ -1,8 +1,10 @@
 """Shared builders and independent hand-computed oracles for the tests.
 
 The per-user MMSE path below (one interference covariance and one Cholesky
-solve per user) is the reference the package's batched kernel is checked
-against; no package code calls it.
+solve per user, on loop_channel's channels) is the reference the package's
+batched kernel is checked against; no package code calls it. The SCA
+alignment term g and its derivatives are the references for sca's
+surrogate.
 """
 
 import cmath
@@ -11,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from gma.arrays import (ArrayConfig, PathSet, channel_entries, channel_vector,
-                        wavelength_from_frequency)
-from gma.combining import LinkPowers, mrc_snr
+from gma.arrays import ArrayConfig, PathSet, wavelength_from_frequency
+from gma.combining import LinkPowers
+from gma.sca import ScaState
 
 WAVELENGTH = wavelength_from_frequency(28e9)
 _UNIT_NORM_TOL = 1e-12
@@ -47,6 +49,38 @@ def loop_channel(y, eta, paths, cfg):
             acc += complex(gain) * shift * element
         out.append(acc)
     return np.array(out)
+
+
+def g_value(y, b: np.ndarray, aoas: np.ndarray, wavelength: float):
+    """Alignment term g(y) = sum_i |b_i| cos(2*pi/wavelength*y*sin(aoa_i) - angle(b_i))."""
+    y = np.asarray(y, dtype=np.float64)
+    arg = ((2.0 * np.pi / wavelength) * np.multiply.outer(y, np.sin(aoas))
+           - np.angle(b))
+    return np.sum(np.abs(b) * np.cos(arg), axis=-1)
+
+
+def g_derivative(y, b: np.ndarray, aoas: np.ndarray, wavelength: float):
+    y = np.asarray(y, dtype=np.float64)
+    k0 = 2.0 * np.pi / wavelength
+    sin_t = np.sin(aoas)
+    arg = k0 * np.multiply.outer(y, sin_t) - np.angle(b)
+    return -k0 * np.sum(np.abs(b) * sin_t * np.sin(arg), axis=-1)
+
+
+def g_second_derivative(y, b: np.ndarray, aoas: np.ndarray, wavelength: float):
+    y = np.asarray(y, dtype=np.float64)
+    k0 = 2.0 * np.pi / wavelength
+    sin_t = np.sin(aoas)
+    arg = k0 * np.multiply.outer(y, sin_t) - np.angle(b)
+    return -k0 * k0 * np.sum(np.abs(b) * sin_t ** 2 * np.cos(arg), axis=-1)
+
+
+def surrogate_value(y, state: ScaState, paths: PathSet, cfg: ArrayConfig):
+    """Concave quadratic minorant of g expanded at state.y_j."""
+    y = np.asarray(y, dtype=np.float64)
+    g_j = g_value(state.y_j, state.b, paths.aoas, cfg.wavelength)
+    dy = y - state.y_j
+    return g_j + state.g_prime * dy - 0.5 * state.xi * dy ** 2
 
 
 def g_highprec(y, b, aoas, wavelength):
@@ -111,7 +145,7 @@ def interference_covariance(k: int, channels, powers: LinkPowers) -> np.ndarray:
 
     C_k = I + sum_{i != k} p_bar_i h_i h_i^H, Hermitian positive definite.
     """
-    hs = [channel_entries(h) for h in channels]
+    hs = [np.asarray(h, dtype=np.complex128) for h in channels]
     if len(hs) != powers.K:
         raise ValueError(f"got {len(hs)} channels for {powers.K} users")
     if not 0 <= k < len(hs):
@@ -132,7 +166,7 @@ def mmse_combiner(h_k, C_k: np.ndarray) -> Combiner:
     Solves the Hermitian positive-definite system by Cholesky factorization
     instead of forming the inverse.
     """
-    h = channel_entries(h_k)
+    h = np.asarray(h_k, dtype=np.complex128)
     if np.linalg.norm(h) == 0.0:
         raise ValueError("combiner undefined for an all-zero channel")
     x = cho_solve(cho_factor(C_k, lower=True), h)
@@ -146,7 +180,7 @@ def combiner_sinr(v, h_k, C_k: np.ndarray, p_bar_k: float) -> float:
     quotient is scale-invariant.
     """
     v = np.asarray(v.weights if isinstance(v, Combiner) else v, dtype=np.complex128)
-    h = channel_entries(h_k)
+    h = np.asarray(h_k, dtype=np.complex128)
     num = p_bar_k * np.abs(np.vdot(v, h)) ** 2
     den = np.real(np.vdot(v, C_k @ v))
     return float(num / den)
@@ -159,21 +193,21 @@ def sinr(k: int, y: float, eta: int, users, powers: LinkPowers,
     Equals p_bar_k * h_k^H C_k^-1 h_k, the maximum of the Rayleigh quotient
     over unit-norm combiners.
     """
-    channels = [channel_vector(y, eta, u, cfg) for u in users]
+    channels = [loop_channel(y, eta, u, cfg) for u in users]
     return _sinr_from_channels(k, channels, powers)
 
 
 def sum_rate(y: float, eta: int, users, powers: LinkPowers,
              cfg: ArrayConfig) -> float:
     """Achievable sum rate sum_k log2(1 + sinr_k) in bits/s/Hz at (y, eta)."""
-    channels = [channel_vector(y, eta, u, cfg) for u in users]
+    channels = [loop_channel(y, eta, u, cfg) for u in users]
     gammas = [_sinr_from_channels(k, channels, powers)
               for k in range(len(channels))]
     return float(np.sum(np.log2(1.0 + np.asarray(gammas))))
 
 
 def _sinr_from_channels(k: int, channels, powers: LinkPowers) -> float:
-    hs = [channel_entries(h) for h in channels]
+    hs = [np.asarray(h, dtype=np.complex128) for h in channels]
     if len(hs) != powers.K:
         raise ValueError(f"got {len(hs)} channels for {powers.K} users")
     h_k = hs[k]
@@ -181,7 +215,7 @@ def _sinr_from_channels(k: int, channels, powers: LinkPowers) -> float:
     if p_k == 0.0 or np.linalg.norm(h_k) == 0.0:
         return 0.0
     if len(hs) == 1:
-        return mrc_snr(h_k, p_k)
+        return float(p_k * np.sum(np.abs(h_k) ** 2))
     cov = interference_covariance(k, hs, powers)
     x = cho_solve(cho_factor(cov, lower=True), h_k)
     return float(p_k * np.real(np.vdot(h_k, x)))
