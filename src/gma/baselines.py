@@ -199,8 +199,8 @@ def exhaustive_search(users, powers: LinkPowers, cfg: ArrayConfig,
     if powers.K == 1:
         return _exhaustive_single_user(users[0], float(powers.p_bar[0]),
                                        cfg, fine_step, feas)
-    best_val, best_y, best_eta, evals = scan(feas, fine_step, users, powers, cfg)
-    return best_y, best_eta, best_val, evals
+    val, y, eta, evals = scan([(feas, cfg)], fine_step, users, powers)[0]
+    return y, eta, val, evals
 
 
 def _exhaustive_single_user(paths, p_bar, cfg, fine_step, feas):

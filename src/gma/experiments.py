@@ -25,7 +25,7 @@ from .arrays import ArrayConfig
 from .baselines import (exhaustive_search, fpa_metric, gma_element_positions,
                         layout_metric, ma_optimize)
 from .combining import metric_profiles, objective_metric
-from .multiuser import optimize_multiuser
+from .multiuser import optimize_multiuser, scan
 from .optim import GridSpec, OptimizerSettings, position_grid
 from .scenario import (PATH_GAIN_MODEL, RNG_SCHEME, Scenario, ScenarioParams,
                        sample_scenario)
@@ -146,13 +146,14 @@ def run_trial_schemes(scenario: Scenario, schemes,
                       settings: OptimizerSettings, grid: GridSpec,
                       oracle_step: float | None = None,
                       single_user_sca: bool = False,
-                      extra_candidates=(), ma_restarts: int = 0
-                      ) -> list[TrialRecord]:
+                      extra_candidates=(), ma_restarts: int = 0,
+                      lattice=None) -> list[TrialRecord]:
     """Run the requested schemes on one scenario.
 
-    The MA benchmark warm-starts from the group-array solution's element
-    positions when one was computed, which pins the ordering
-    MA >= GMA >= FPA per trial.
+    lattice, when given, is the multi-user GMA's scan result for this
+    scenario (see optimize_multiuser). The MA benchmark warm-starts from the
+    group-array solution's element positions when one was computed, which
+    pins the ordering MA >= GMA >= FPA per trial.
     """
     cfg, users, powers = scenario.cfg, scenario.users, scenario.powers
     records = []
@@ -173,7 +174,8 @@ def run_trial_schemes(scenario: Scenario, schemes,
                                           powers, cfg)
             else:
                 sol = optimize_multiuser(users, powers, cfg, grid, settings,
-                                         extra_candidates=extra_candidates)
+                                         extra_candidates=extra_candidates,
+                                         lattice=lattice)
                 metric = sol.objective
             gma_solution = sol
             wall = (time.perf_counter() - t0) * 1e3
@@ -233,6 +235,12 @@ def run_sweep(params: ScenarioParams, settings: OptimizerSettings,
     grows. Each run also receives the solutions found for the next-smaller
     region and element count as injected candidates; together these make
     the per-trial metric monotone along both sweep axes.
+
+    The problems of a trial share their users and powers, so one
+    multiuser.scan per trial scores all their lattices, and each GMA run
+    starts from its share. A grid that is not a prefix of the longest grid
+    of its level, as when position_grid clamped or appended its end, is
+    scored on its own.
     """
     d = params.d
     d_max = (COMPACT_D_MAX_ELEMENTS - 1) * d
@@ -241,22 +249,28 @@ def run_sweep(params: ScenarioParams, settings: OptimizerSettings,
     records = []
     for t in range(trials):
         solutions: dict[tuple[int, float], tuple[float, int]] = {}
-        for m in counts:
-            for mult in multiples:
-                combo = replace(params, M=m, region=(0.0, mult * d_max))
-                scenario = sample_scenario(combo, t)
-                extra = []
-                m_idx, r_idx = counts.index(m), multiples.index(mult)
-                if r_idx > 0:
-                    extra.append(solutions[(m, multiples[r_idx - 1])])
-                if m_idx > 0:
-                    extra.append(solutions[(counts[m_idx - 1], mult)])
-                recs = run_trial_schemes(scenario, schemes, settings, grid,
-                                         extra_candidates=extra)
-                for r in recs:
-                    if r.scheme == "gma":
-                        solutions[(m, mult)] = (r.y_star, r.eta_star)
-                records.extend(recs)
+        cells = [(m, mult, sample_scenario(
+            replace(params, M=m, region=(0.0, mult * d_max)), t))
+            for m in counts for mult in multiples]
+        lattices = [None] * len(cells)
+        if "gma" in schemes:
+            first = cells[0][2]
+            lattices = scan([(sc.cfg.feasible_etas(), sc.cfg) for *_, sc in cells],
+                            grid.resolve_step(params.wavelength), first.users,
+                            first.powers)
+        for (m, mult, scenario), lattice in zip(cells, lattices):
+            extra = []
+            m_idx, r_idx = counts.index(m), multiples.index(mult)
+            if r_idx > 0:
+                extra.append(solutions[(m, multiples[r_idx - 1])])
+            if m_idx > 0:
+                extra.append(solutions[(counts[m_idx - 1], mult)])
+            recs = run_trial_schemes(scenario, schemes, settings, grid,
+                                     extra_candidates=extra, lattice=lattice)
+            for r in recs:
+                if r.scheme == "gma":
+                    solutions[(m, mult)] = (r.y_star, r.eta_star)
+            records.extend(recs)
     return records
 
 

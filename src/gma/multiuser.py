@@ -25,29 +25,56 @@ from .combining import LinkPowers, metric_profiles, objective_metric
 from .optim import GmaSolution, GridSpec, OptimizerSettings, position_grid
 
 
-def scan(etas, step: float, users, powers: LinkPowers,
-         cfg: ArrayConfig) -> tuple[float, float, int, int]:
-    """Lattice maximum over the levels etas and their position grids.
+def scan(problems, step: float, users,
+         powers: LinkPowers) -> list[tuple[float, float, int, int]]:
+    """Lattice maxima of several configurations, scored in shared passes.
 
-    Level eta is scanned on position_grid(*cfg.position_bounds(eta), step).
-    Levels with the same bounds share one grid and one metric_profiles pass,
-    so without confine_aperture the whole lattice is a single pass. Ties go
-    to the earlier level in etas, then to the smaller grid index.
+    problems holds (etas, cfg) pairs whose configurations share N, the
+    wavelength and y_min (a ValueError otherwise), and users and powers.
+    Level eta of a configuration is scanned on
+    position_grid(*cfg.position_bounds(eta), step). Per level, the longest
+    such grid is scored once, and each configuration whose grid is a
+    bit-for-bit prefix of it reads its maximum off that pass; any other
+    grid (an end that position_grid clamped to hi or appended) is scored on
+    its own. Levels with the same grid share one metric_profiles pass. Per
+    configuration, ties go to the earlier level in its etas, then to the
+    smaller grid index.
 
-    Returns (value, y, eta, evals).
+    Returns one (value, y, eta, evals) per configuration; evals sums the
+    sizes of its own grids.
     """
-    groups: dict[tuple[float, float], list[int]] = {}
-    for eta in etas:
-        groups.setdefault(cfg.position_bounds(eta), []).append(eta)
-    best_val, best_y, best_eta, evals = -np.inf, None, None, 0
-    for bounds, levels in groups.items():
-        pts = position_grid(*bounds, step)
-        for eta, vals in metric_profiles(pts, levels, users, powers, cfg):
-            evals += pts.size
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val, best_y, best_eta = float(vals[i]), float(pts[i]), eta
-    return best_val, best_y, best_eta, evals
+    cfgs = [cfg for _, cfg in problems]
+    if len({(c.N, c.wavelength, c.y_min) for c in cfgs}) > 1:
+        raise ValueError("configurations must share N, the wavelength and y_min")
+    own = [[cfg.position_bounds(eta) for eta in etas] for etas, cfg in problems]
+    grids = {b: position_grid(*b, step) for b in set(sum(own, []))}
+    longest = {}  # level -> bounds of its longest grid
+    for (etas, _), bounds in zip(problems, own):
+        for eta, b in zip(etas, bounds):
+            longest[eta] = max(longest.get(eta, b), b, key=lambda x: grids[x].size)
+    readers = {}  # bounds scored -> level -> [(configuration, grid size)]
+    for c, (etas, _) in enumerate(problems):
+        for eta, b in zip(etas, own[c]):
+            n, top = grids[b].size, longest[eta]
+            if top != b and grids[top][:n].tobytes() != grids[b].tobytes():
+                top = b
+            readers.setdefault(top, {}).setdefault(eta, []).append((c, n))
+    widest = max(cfgs, key=lambda c: c.eta_max)  # admits every level
+    found = {}  # (configuration, level) -> (value, y)
+    for bounds, levels in readers.items():
+        pts = grids[bounds]
+        for eta, vals in metric_profiles(pts, list(levels), users, powers, widest):
+            for c, n in levels[eta]:
+                i = int(np.argmax(vals[:n]))
+                found[c, eta] = float(vals[i]), float(pts[i])
+    out = []
+    for c, (etas, _) in enumerate(problems):
+        best = (-np.inf, None, None)
+        for eta in etas:
+            if found[c, eta][0] > best[0]:
+                best = (*found[c, eta], eta)
+        out.append((*best, sum(grids[b].size for b in own[c])))
+    return out
 
 
 def grid_position_search(eta: int, users, powers: LinkPowers, cfg: ArrayConfig,
@@ -59,7 +86,7 @@ def grid_position_search(eta: int, users, powers: LinkPowers, cfg: ArrayConfig,
     if cfg.validate_eta(eta) not in cfg.feasible_etas():
         raise ValueError(f"no admissible position at sparsity {eta}")
     step = grid.resolve_step(cfg.wavelength)
-    val, y, _, _ = scan([eta], step, users, powers, cfg)
+    val, y, _, _ = scan([([eta], cfg)], step, users, powers)[0]
     y, val, _ = _refine_position(y, val, eta, step, users, powers, cfg, grid)
     return y, val
 
@@ -80,12 +107,14 @@ def sparsity_search(y: float, users, powers: LinkPowers,
 def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
                        grid: GridSpec = GridSpec(),
                        settings: OptimizerSettings = OptimizerSettings(),
-                       extra_candidates=()) -> GmaSolution:
+                       extra_candidates=(), lattice=None) -> GmaSolution:
     """Alternating position / sparsity search for the best (y, eta).
 
     extra_candidates are (y, eta) pairs injected into the evaluated set,
     e.g. the solution of a run over a smaller region so that sweeps over
-    growing domains are monotone even at refined resolution.
+    growing domains are monotone even at refined resolution. lattice is
+    this configuration's scan result over its feasible levels, as run_sweep
+    scores several configurations at once; None scans here.
 
     A (y, eta) value does not depend on its batch, so the objective is at
     least the fixed-array baseline and every injected candidate, exactly.
@@ -96,7 +125,9 @@ def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
     if not feas:
         raise ValueError("movable region admits no feasible sparsity level")
     step = grid.resolve_step(cfg.wavelength)
-    best_val, best_y, best_eta, evals = scan(feas, step, users, powers, cfg)
+    if lattice is None:
+        lattice = scan([(feas, cfg)], step, users, powers)[0]
+    best_val, best_y, best_eta, evals = lattice
     for y_c, eta_c in extra_candidates:
         val = objective_metric(y_c, eta_c, users, powers, cfg)
         evals += 1

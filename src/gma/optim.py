@@ -67,7 +67,8 @@ class GmaSolution:
 
     objective is the SNR for a single user and the sum rate otherwise.
     trace holds the best objective seen after each outer round and is
-    non-decreasing; evals counts metric evaluations.
+    non-decreasing; evals counts the (y, eta) points the search compared,
+    whether or not they were scored in a pass shared with other searches.
     """
 
     y_star: float
@@ -92,8 +93,11 @@ def position_grid(lo: float, hi: float, step: float) -> np.ndarray:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
         return np.array([lo])
-    count = int(np.floor((hi - lo) / step + 1e-9))
-    pts = lo + step * np.arange(count + 1)
+    count = np.floor((hi - lo) / step + 1e-9)
+    if not count < np.iinfo(np.intp).max:
+        raise ValueError(f"grid step {step} over [{lo}, {hi}] gives {count + 1:.4g} "
+                         "points, more than numpy can index")
+    pts = lo + step * np.arange(int(count) + 1)
     if pts[-1] > hi:
         pts[-1] = hi
     elif pts[-1] < hi - 1e-12 * max(1.0, abs(hi)):

@@ -228,8 +228,8 @@ class TestExhaustiveSearch:
         for trial in range(4):
             sc = sample_scenario(params, trial)
             y, eta, _, evals = exhaustive_search(sc.users, sc.powers, sc.cfg, step)
-            _, y_s, eta_s, evals_s = scan(sc.cfg.feasible_etas(), step,
-                                          sc.users, sc.powers, sc.cfg)
+            [(_, y_s, eta_s, evals_s)] = scan([(sc.cfg.feasible_etas(), sc.cfg)],
+                                              step, sc.users, sc.powers)
             assert (y, eta, evals) == (y_s, eta_s, evals_s)
 
     def test_rejects_bad_step(self, cfg_small, rng):

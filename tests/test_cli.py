@@ -166,6 +166,17 @@ def test_rejects_malformed_config_values(tmp_path, capsys, argv, config, named):
     assert not out.exists()
 
 
+def test_rejects_a_grid_step_too_fine_to_index(tmp_path, capsys):
+    # the count check comes before numpy is asked for the grid
+    out = tmp_path / "out.csv"
+    assert main(["landscape", "--grid-step", "1e-300", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    y_max = ScenarioParams().resolved_region()[1]
+    assert err == (f"error: grid step 1e-300 over [0.0, {y_max}] gives "
+                   f"{y_max / 1e-300 + 1:.4g} points, more than numpy can index\n")
+    assert not out.exists()
+
+
 SMALL_SCENARIO = {"M": 16, "K": 2, "paths_per_user": 3, "region": [0.0, 0.03]}
 
 

@@ -409,8 +409,8 @@ class TestLatticeTable:
         wrap = arrays.gain_weighted_shifts
         with mock.patch.object(arrays, "gain_weighted_shifts", wraps=wrap) as a, \
                 mock.patch.object(combining, "gain_weighted_shifts", wraps=wrap) as c:
-            _, _, _, evals = scan(cfg.feasible_etas(), cfg.wavelength / 16.0,
-                                  sc.users, sc.powers, cfg)
+            [(_, _, _, evals)] = scan([(cfg.feasible_etas(), cfg)],
+                                      cfg.wavelength / 16.0, sc.users, sc.powers)
         rows = [call.args[0].size for call in a.call_args_list + c.call_args_list]
         assert evals == 8129 * 42
         assert len(rows) == sc.K
@@ -473,8 +473,8 @@ class TestLagRows:
                                   wraps=combining._covariance_lower) as rows, \
                 mock.patch.object(combining, "batch_sinr",
                                   wraps=combining.batch_sinr) as sinr:
-            _, _, _, evals = scan(etas, cfg.wavelength / 16.0, sc.users,
-                                  sc.powers, cfg)
+            [(_, _, _, evals)] = scan([(etas, cfg)], cfg.wavelength / 16.0,
+                                      sc.users, sc.powers)
         lag_rows = sum(call.args[4] for call in lag.call_args_list)
         by_rows = sum(call.args[0][0].shape[1] for call in rows.call_args_list)
         assert evals == 8129 * 42

@@ -10,7 +10,8 @@ from gma.baselines import fpa_metric
 from gma.combining import LinkPowers, objective_metric
 from gma.experiments import (CSV_COLUMNS, landscape, reevaluate_record,
                              run_compare, run_metadata, run_sweep,
-                             write_metadata, write_records_csv)
+                             run_trial_schemes, write_metadata,
+                             write_records_csv)
 from gma.optim import GridSpec, OptimizerSettings, position_grid
 from gma.scenario import Scenario, ScenarioParams, sample_scenario
 
@@ -156,6 +157,28 @@ class TestRunSweep:
                 assert table[(t, m, 1.0)] <= table[(t, m, 2.0)]
             for mult in (1.0, 2.0):
                 assert table[(t, 8, mult)] <= table[(t, 16, mult)]
+
+    @pytest.mark.parametrize("confine", [False, True])
+    def test_records_equal_each_problem_run_alone(self, confine):
+        # the old per-problem loop, each GMA run scanning its own lattice
+        params = ScenarioParams(confine_aperture=confine)
+        d_max = 31 * params.d
+        alone = []
+        for t in range(2):
+            solutions = {}
+            for m in (32, 64, 128):
+                for mult in (1, 2, 4, 8):
+                    extra = [solutions[key] for key in ((m, mult // 2), (m // 2, mult))
+                             if key in solutions]
+                    scenario = sample_scenario(
+                        replace(params, M=m, region=(0.0, mult * d_max)), t)
+                    recs = run_trial_schemes(scenario, ("gma", "fpa"), SETTINGS,
+                                             GRID, extra_candidates=extra)
+                    solutions[(m, mult)] = (recs[0].y_star, recs[0].eta_star)
+                    alone.extend(recs)
+        swept = run_sweep(params, SETTINGS, GRID, trials=2)
+        assert ([replace(r, wall_ms=0.0) for r in swept]
+                == [replace(r, wall_ms=0.0) for r in alone])
 
     def test_gma_beats_fpa_in_every_cell(self):
         params = ScenarioParams(K=2, M=16, paths_per_user=2, seed=2)

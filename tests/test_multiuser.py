@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from gma import multiuser
+from gma import combining, multiuser
 from gma.arrays import ArrayConfig, PathSet
 from gma.baselines import exhaustive_search
 from gma.combining import LinkPowers, metric_profiles, objective_metric
@@ -25,6 +27,19 @@ def seeded_instance(seed, K=5, L=3, span_wavelengths=20.0, M=16):
     return cfg, users, powers
 
 
+def per_level_scan(etas, step, users, powers, cfg):
+    """(value, y, eta, evals) of one configuration, one level at a time."""
+    best, evals = (-np.inf, None, None), 0
+    for eta in etas:
+        pts = position_grid(*cfg.position_bounds(eta), step)
+        _, vals = next(metric_profiles(pts, [eta], users, powers, cfg))
+        evals += pts.size
+        i = int(np.argmax(vals))
+        if vals[i] > best[0]:
+            best = (float(vals[i]), float(pts[i]), eta)
+    return (*best, evals)
+
+
 class TestScan:
     @pytest.mark.parametrize("confine", [True, False])
     def test_matches_per_level_loop_bitwise(self, confine):
@@ -34,15 +49,58 @@ class TestScan:
         powers = LinkPowers(p_bar=rng.uniform(0.5, 4.0, 3))
         step = WAVELENGTH / 16
         etas = cfg.feasible_etas()
-        best, evals = (-np.inf, None, None), 0
-        for eta in etas:
-            pts = position_grid(*cfg.position_bounds(eta), step)
-            _, vals = next(metric_profiles(pts, [eta], users, powers, cfg))
-            evals += pts.size
-            i = int(np.argmax(vals))
-            if vals[i] > best[0]:
-                best = (float(vals[i]), float(pts[i]), eta)
-        assert scan(etas, step, users, powers, cfg) == (*best, evals)
+        assert scan([(etas, cfg)], step, users, powers) == [
+            per_level_scan(etas, step, users, powers, cfg)]
+
+    @given(seed=st.integers(0, 10 ** 6), K=st.sampled_from([1, 3]),
+           cells=st.lists(st.tuples(st.sampled_from([8, 16, 32]),
+                                    st.integers(1, 8)),
+                          min_size=2, max_size=4, unique=True),
+           confine=st.booleans(), shape=st.sampled_from(["random", "flat", "rising"]),
+           step_kind=st.sampled_from(["d/8", "lambda/100", "random"]),
+           chunk=st.sampled_from([7, 64]))
+    def test_each_configuration_reads_what_it_scans_alone(
+            self, seed, K, cells, confine, shape, step_kind, chunk):
+        # nested regions of one anchor. A clamped or appended grid end must be
+        # scored on its own; "rising" users put each level's maximum at the
+        # end of its grid, so a wrong read there shows. "flat" (broadside)
+        # users tie every point.
+        rng = np.random.default_rng(seed)
+        y_min = float(rng.uniform(0.0, 0.1))
+        d = WAVELENGTH / 2
+        problems = []
+        for M, mult in cells:
+            cfg = ArrayConfig(M=M, N=4, wavelength=WAVELENGTH, y_min=y_min,
+                              y_max=y_min + mult * 4 * d, confine_aperture=confine)
+            problems.append((cfg.feasible_etas(), cfg))
+        users = [random_paths(rng, L=3) for _ in range(K)]
+        if shape == "flat":
+            users = [PathSet(gains=[g], aoas=[0.0]) for g in rng.uniform(0.5, 1.5, K)]
+        elif shape == "rising":
+            # two paths whose beat is in phase pi/2 + 0.5 at y_min and turns
+            # less than 2 rad over every region and element, so |h|^2 rises
+            beat = np.pi / 2 + 0.5 + 2 * np.pi / WAVELENGTH * y_min * 0.01
+            sines = rng.uniform(-0.5, 0.5, K)
+            users = [PathSet(gains=[1.0, 0.7 * np.exp(-1j * beat)],
+                             aoas=np.arcsin([s, s + 0.01])) for s in sines]
+        powers = LinkPowers(p_bar=rng.uniform(0.5, 4.0, K))
+        step = {"d/8": d / 8, "lambda/100": WAVELENGTH / 100,
+                "random": float(rng.uniform(d / 40, d / 4))}[step_kind]
+        with mock.patch.object(combining, "_CHUNK", chunk):
+            shared = scan(problems, step, users, powers)
+        for (etas, cfg), got in zip(problems, shared):
+            assert got == scan([(etas, cfg)], step, users, powers)[0]
+            assert got == per_level_scan(etas, step, users, powers, cfg)
+
+    def test_configurations_must_share_the_lattice(self):
+        users = [PathSet(gains=[1.0], aoas=[0.3])]
+        powers = LinkPowers(p_bar=np.array([1.0]))
+        base = make_cfg(M=16, N=4)
+        for other in (make_cfg(M=16, N=3), make_cfg(M=16, N=4, y_min=1e-3),
+                      ArrayConfig(M=16, N=4, wavelength=2 * WAVELENGTH,
+                                  y_min=0.0, y_max=base.y_max)):
+            with pytest.raises(ValueError, match="must share"):
+                scan([([1], base), ([1], other)], WAVELENGTH / 16, users, powers)
 
     @pytest.mark.parametrize("confine", [True, False])
     def test_ties_go_to_first_level_then_first_point(self, confine):
@@ -52,9 +110,9 @@ class TestScan:
                  for g in (1.0, 0.7)]
         powers = LinkPowers(p_bar=np.array([2.0, 1.0]))
         etas = cfg.feasible_etas()
-        _, y, eta, _ = scan(etas, WAVELENGTH / 16, users, powers, cfg)
+        [(_, y, eta, _)] = scan([(etas, cfg)], WAVELENGTH / 16, users, powers)
         assert (y, eta) == (cfg.y_min, etas[0])
-        _, y, eta, _ = scan(etas[::-1], WAVELENGTH / 16, users, powers, cfg)
+        [(_, y, eta, _)] = scan([(etas[::-1], cfg)], WAVELENGTH / 16, users, powers)
         assert (y, eta) == (cfg.y_min, etas[-1])
 
 

@@ -85,14 +85,20 @@ class TestSampleScenario:
                                    np.tile([100.0, 0.0], (4, 1)), atol=1e-12)
 
     def test_geometry_independent_of_array_size_and_region(self):
+        # bit for bit: run_sweep scores every problem of a trial with one
+        # problem's users and powers
         base = ScenarioParams(K=3, M=32, region=(0.0, 0.5))
-        other = dataclasses.replace(base, M=128, region=(0.0, 2.0))
         a = sample_scenario(base, trial=3)
-        b = sample_scenario(other, trial=3)
-        for ua, ub in zip(a.users, b.users):
-            assert np.array_equal(ua.gains, ub.gains)
-            assert np.array_equal(ua.aoas, ub.aoas)
-        assert np.array_equal(a.user_positions, b.user_positions)
+        for other in (dataclasses.replace(base, M=128, region=(0.0, 2.0)),
+                      dataclasses.replace(base, confine_aperture=True),
+                      dataclasses.replace(base, M=64, region=(0.0, 0.0),
+                                          confine_aperture=True)):
+            b = sample_scenario(other, trial=3)
+            for ua, ub in zip(a.users, b.users, strict=True):
+                assert ua.gains.tobytes() == ub.gains.tobytes()
+                assert ua.aoas.tobytes() == ub.aoas.tobytes()
+            assert a.powers.p_bar.tobytes() == b.powers.p_bar.tobytes()
+            assert a.user_positions.tobytes() == b.user_positions.tobytes()
 
     def test_gain_model_uses_user_distance(self):
         p = ScenarioParams(K=2, paths_per_user=4)
