@@ -117,7 +117,10 @@ class ArrayConfig:
         """
         eta = self.validate_eta(eta)
         if self.confine_aperture:
-            return self.y_min, self.y_max - self.sparse_aperture(eta)
+            top = self.sparse_aperture(eta)
+            # the array fits at y_min even when y_max - top rounds below it
+            fits = self.y_min + top <= self.y_max
+            return self.y_min, max(self.y_max - top, self.y_min if fits else -np.inf)
         return self.y_min, self.y_max
 
     def feasible_etas(self, y: float | None = None) -> list[int]:

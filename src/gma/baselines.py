@@ -6,9 +6,9 @@ at the bottom of the movable region. The movable-antenna (MA) benchmark
 lets each of the N elements move independently, subject to a half-wavelength
 minimum spacing, over the span the group array can physically reach; it is
 optimized by cyclic coordinate ascent. The grid search (the "oracle"
-scheme) scans the full (position, sparsity) product grid. It is a reference,
-not a bound: the optimizers refine between its points and can score
-above it.
+scheme) scans the full (position, sparsity) product grid: sca.snr_scan for
+one user, multiuser.scan for several. It is a reference, not a bound: the
+optimizers refine between its points and can score above it.
 """
 
 from __future__ import annotations
@@ -17,24 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, path_phases
+from .arrays import ArrayConfig
 from .combining import LinkPowers, batch_objective, objective_metric
 from .multiuser import scan
 from .optim import GridSpec, OptimizerSettings, position_grid
-from .sca import path_matrix
+from .sca import snr_scan
 
 _GAP_TOL = 1e-9
 
 
-def fpa_metric(users, powers: LinkPowers, cfg: ArrayConfig,
-               y_fpa: float | None = None) -> float:
-    """Metric of the compact half-wavelength array at its fixed position.
-
-    The reference position defaults to the bottom of the movable region and
-    is recorded in experiment metadata.
-    """
-    y = cfg.y_min if y_fpa is None else float(y_fpa)
-    return objective_metric(y, 1, users, powers, cfg)
+def fpa_metric(users, powers: LinkPowers, cfg: ArrayConfig) -> float:
+    """Metric of the compact array fixed at the bottom of the region."""
+    return objective_metric(cfg.y_min, 1, users, powers, cfg)
 
 
 def ma_span(cfg: ArrayConfig) -> tuple[float, float]:
@@ -187,6 +181,8 @@ def exhaustive_search(users, powers: LinkPowers, cfg: ArrayConfig,
     """Grid search: best (y, eta, metric, evals) over the full
     position-sparsity product grid.
 
+    One user is scanned by sca.snr_scan, several by multiuser.scan; both
+    score level eta on position_grid(*cfg.position_bounds(eta), fine_step).
     Ties resolve toward the smaller sparsity level, then the smaller grid
     index. evals counts the (y, eta) points scored. It is a reference for
     the optimizers, not a bound on them: they refine between its points.
@@ -197,56 +193,8 @@ def exhaustive_search(users, powers: LinkPowers, cfg: ArrayConfig,
     if not feas:
         raise ValueError("movable region admits no feasible sparsity level")
     if powers.K == 1:
-        return _exhaustive_single_user(users[0], float(powers.p_bar[0]),
-                                       cfg, fine_step, feas)
-    val, y, eta, evals = scan([(feas, cfg)], fine_step, users, powers)[0]
-    return y, eta, val, evals
-
-
-def _exhaustive_single_user(paths, p_bar, cfg, fine_step, feas):
-    """Dense single-user scan via the Gram quadratic form.
-
-    With G(eta) = A(eta)^H A(eta) and unit-modulus phase entries f_i(y),
-    ||A f||^2 = sum_i G_ii + 2 sum_{i<j} Re(G_ij conj(f_i) f_j). The
-    pairwise phase products are sparsity-independent, so the dense grid
-    pays for them once and each eta reduces to two real matvecs. Values
-    match the channel-norm route to floating-point accuracy, not bit-exactly.
-    """
-    pts = position_grid(cfg.y_min, cfg.y_max, fine_step)
-    W = path_phases(pts, paths.aoas, cfg)
-    L = paths.L
-    pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
-    # cap the cached pair tables at ~64 MB; fall back to a plain quadratic
-    # form beyond that (and for the flat L = 1 case)
-    use_pairs = pairs and pts.size * len(pairs) <= 4_000_000
-    if use_pairs:
-        cross = np.stack([W[:, i].conj() * W[:, j] for i, j in pairs])
-        cross_re, cross_im = cross.real.copy(), cross.imag.copy()
+        val, y, eta, evals = snr_scan(users[0], cfg, fine_step,
+                                      float(powers.p_bar[0]))
     else:
-        Wc = W.conj()
-    best_val, best_y, best_eta, evals = -np.inf, None, None, 0
-    for eta in feas:
-        A = path_matrix(eta, paths, cfg)
-        gram = A.conj().T @ A
-        # the level's grid is the first n_ok points of pts, plus its upper
-        # end when confine_aperture puts that off the lattice
-        bounds = cfg.position_bounds(eta)
-        grid = pts if bounds == (cfg.y_min, cfg.y_max) else position_grid(
-            *bounds, fine_step)
-        n_ok = int(np.searchsorted(pts, grid[-1], side="right"))
-        if use_pairs:
-            g = np.array([gram[i, j] for i, j in pairs])
-            vals = np.real(np.trace(gram)) + 2.0 * (
-                g.real @ cross_re[:, :n_ok] - g.imag @ cross_im[:, :n_ok])
-            vals *= p_bar
-        else:
-            vals = p_bar * ((Wc[:n_ok] @ gram) * W[:n_ok]).sum(axis=1).real
-        if grid.size > n_ok:
-            W_end = path_phases(grid[n_ok:], paths.aoas, cfg)
-            vals = np.append(vals, p_bar * (
-                (W_end.conj() @ gram) * W_end).sum(axis=1).real)
-        evals += grid.size
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val, best_y, best_eta = float(vals[i]), float(grid[i]), eta
-    return best_y, best_eta, best_val, evals
+        val, y, eta, evals = scan([(feas, cfg)], fine_step, users, powers)[0]
+    return y, eta, val, evals

@@ -206,7 +206,7 @@ def main(argv=None) -> int:
         _print_scheme_means(records)
         print(f"wrote {out} ({len(records)} records)")
         return 0
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -56,31 +56,25 @@ class LandscapeResult:
                 yield float(y), int(eta), float(self.metric[i, j])
 
 
-def landscape(scenario: Scenario, y_grid=None, eta_set=None,
+def landscape(scenario: Scenario,
               grid_step: float | None = None) -> LandscapeResult:
-    """Evaluate the metric over the full product of positions and sparsities.
+    """Evaluate the metric over the full product of the region's positions
+    (a grid_step grid, wavelength/16 by default) and feasible sparsities.
 
     The gap is reported in dB for a single user (SNR) and in bits/s/Hz for
     several (sum rate).
     """
     cfg = scenario.cfg
-    if y_grid is None:
-        step = grid_step if grid_step is not None else cfg.wavelength / 16.0
-        y_grid = position_grid(cfg.y_min, cfg.y_max, step)
-    else:
-        y_grid = np.asarray(y_grid, dtype=np.float64)
-    if eta_set is None:
-        eta_set = cfg.feasible_etas()
-    eta_set = [cfg.validate_eta(e) for e in eta_set]
-    if len(eta_set) == 0 or y_grid.size == 0:
-        raise ValueError("landscape needs non-empty grids")
+    step = grid_step if grid_step is not None else cfg.wavelength / 16.0
+    y_grid = position_grid(cfg.y_min, cfg.y_max, step)
+    eta_set = cfg.feasible_etas()
+    if not eta_set:
+        raise ValueError("movable region admits no feasible sparsity level")
     table = np.empty((len(eta_set), y_grid.size))
     for i, (eta, vals) in enumerate(metric_profiles(
             y_grid, eta_set, scenario.users, scenario.powers, cfg)):
         table[i] = vals
-        if cfg.confine_aperture:
-            _, hi = cfg.position_bounds(eta)
-            table[i, y_grid > hi] = np.nan
+        table[i, y_grid > cfg.position_bounds(eta)[1]] = np.nan
     vmax = float(np.nanmax(table))
     vmin = float(np.nanmin(table))
     if scenario.K == 1:

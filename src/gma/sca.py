@@ -2,10 +2,12 @@
 
 The SNR at sparsity eta and reference position y is p_bar*||A(eta) f(y)||^2
 with A(eta) the gain-weighted sparse steering matrix (one column per path)
-and f(y) the vector of per-path position phases. The position subproblem is
-solved by ascending a concave quadratic minorant (successive convex
-approximation); the sparsity subproblem by exhaustive discrete search; the
-two alternate until the objective stalls.
+and f(y) the vector of per-path position phases. snr_profile is the one
+scorer of that quantity: SCA's grids, its sparsity search and the
+single-user grid search (snr_scan, the K = 1 oracle) all call it. The
+position subproblem is solved by ascending a concave quadratic minorant
+(successive convex approximation); the sparsity subproblem by exhaustive
+discrete search; the two alternate until the objective stalls.
 """
 
 from __future__ import annotations
@@ -33,14 +35,79 @@ def phase_vector(y: float, paths: PathSet, cfg: ArrayConfig) -> np.ndarray:
     return np.exp(1j * (2.0 * np.pi / cfg.wavelength) * y * np.sin(paths.aoas))
 
 
-def snr_profile(y_values, eta: int, paths: PathSet, cfg: ArrayConfig,
+def snr_profile(y_values, etas, paths: PathSet, cfg: ArrayConfig,
                 p_bar: float = 1.0) -> np.ndarray:
-    """p_bar*||A(eta) f(y)||^2 over a batch of positions, shape (B,)."""
+    """p_bar*||A(eta) f(y)||^2 at each level in etas over a batch of
+    positions, shape (len(etas), B).
+
+    With G = A^H A and unit-modulus phases f_i(y),
+    ||A f||^2 = sum_i G_ii + 2 sum_{i<j} Re(G_ij conj(f_i) f_j). The pair
+    products do not depend on eta: a call forms them once, in real
+    arithmetic, and each level sums them with its Gram entries in a fixed
+    order, so a value does not depend on its batch (a BLAS matvec rounds a
+    column by its place in the batch).
+    """
     y_values = np.atleast_1d(np.asarray(y_values, dtype=np.float64))
-    A = path_matrix(eta, paths, cfg)
-    Q = A.conj().T @ A
-    W = path_phases(y_values, paths.aoas, cfg)
-    return p_bar * np.einsum("bi,ij,bj->b", W.conj(), Q, W).real
+    f = path_phases(y_values, paths.aoas, cfg).T  # (L, B)
+    re, im = f.real.copy(), f.imag.copy()
+    i, j = np.triu_indices(paths.L, k=1)
+    pairs = np.empty((2 * i.size, y_values.size))  # Re rows, then Im rows
+    for p, (a, b) in enumerate(zip(i, j)):
+        np.add(re[a] * re[b], im[a] * im[b], out=pairs[p])
+        np.subtract(re[a] * im[b], im[a] * re[b], out=pairs[i.size + p])
+    out = np.empty((len(etas), y_values.size))
+    for row, eta in zip(out, etas):
+        A = path_matrix(eta, paths, cfg)
+        gram = A.conj().T @ A
+        g = 2.0 * gram[i, j]
+        row[:] = np.real(np.trace(gram))
+        for w, pair in zip(np.concatenate([g.real, -g.imag]).tolist(), pairs):
+            row += w * pair
+    out *= p_bar
+    return out
+
+
+_BLOCK_ENTRIES = 1 << 20  # pair products plus level values per snr_scan block
+
+
+def snr_scan(paths: PathSet, cfg: ArrayConfig, step: float,
+             p_bar: float = 1.0) -> tuple[float, float, int, int]:
+    """Grid maximum (value, y, eta, evals) of p_bar*||A(eta) f(y)||^2.
+
+    Level eta is scanned on position_grid(*cfg.position_bounds(eta), step):
+    a prefix of the region's grid, plus any upper end that confine_aperture
+    moves off it, scored on its own. The region's grid is scored in blocks
+    of at most _BLOCK_ENTRIES pair products and level values. Ties go to the
+    smaller eta, then the smaller index; evals sums the grid sizes.
+    """
+    etas = cfg.feasible_etas()
+    if not etas:
+        raise ValueError("movable region admits no feasible sparsity level")
+    pts = position_grid(cfg.y_min, cfg.y_max, step)
+    size, ends = {}, {}
+    for eta in etas:
+        grid = (position_grid(*cfg.position_bounds(eta), step)
+                if cfg.confine_aperture else pts)
+        size[eta] = int(np.searchsorted(pts, grid[-1], side="right"))
+        ends[eta] = grid[size[eta]:]
+    best = {}  # level -> (value, y) of its first maximum
+
+    def keep(eta, vals, ys):
+        i = int(np.argmax(vals))
+        if eta not in best or vals[i] > best[eta][0]:
+            best[eta] = (float(vals[i]), float(ys[i]))
+
+    block = max(1, _BLOCK_ENTRIES // (paths.L * (paths.L - 1) + len(etas)))
+    for start in range(0, max(size.values()), block):
+        ys = pts[start:start + block]
+        levels = [eta for eta in etas if size[eta] > start]
+        for eta, vals in zip(levels, snr_profile(ys, levels, paths, cfg, p_bar)):
+            keep(eta, vals[:size[eta] - start], ys)
+    for eta, end in ends.items():
+        if end.size:
+            keep(eta, snr_profile(end, [eta], paths, cfg, p_bar)[0], end)
+    eta = max(etas, key=lambda e: best[e][0])
+    return (*best[eta], eta, sum(size[e] + ends[e].size for e in etas))
 
 
 @dataclass(frozen=True)
@@ -121,14 +188,12 @@ def optimize_position_sca(eta: int, paths: PathSet, y0: float,
 def optimize_sparsity(y: float, paths: PathSet, cfg: ArrayConfig
                       ) -> tuple[int, float]:
     """Exhaustive sparsity search at fixed y; ties go to the smaller eta."""
-    best_eta, best_val = None, -np.inf
-    for eta in cfg.feasible_etas(y):
-        val = float(snr_profile(np.array([y]), eta, paths, cfg)[0])
-        if val > best_val:
-            best_eta, best_val = eta, val
-    if best_eta is None:
+    etas = cfg.feasible_etas(y)
+    if not etas:
         raise ValueError(f"no feasible sparsity level at y = {y}")
-    return best_eta, best_val
+    vals = snr_profile([y], etas, paths, cfg)[:, 0]
+    i = int(np.argmax(vals))
+    return etas[i], float(vals[i])
 
 
 def optimize_single_user(paths: PathSet, settings: OptimizerSettings,
@@ -136,8 +201,8 @@ def optimize_single_user(paths: PathSet, settings: OptimizerSettings,
     """Alternate SCA position updates with discrete sparsity search.
 
     Initialization: the starting (position, sparsity) pair is the best
-    point of a wavelength/4 multistart grid scanned across every feasible
-    sparsity level; alternation from the largest aperture alone stalls in
+    point of snr_scan's wavelength/4 grid over every feasible sparsity
+    level; alternation from the largest aperture alone stalls in
     joint local optima far more often.
 
     Each subsequent round seeds the position subproblem from the same grid
@@ -145,19 +210,8 @@ def optimize_single_user(paths: PathSet, settings: OptimizerSettings,
     sparsity at the new position. Rounds stop when the fractional
     objective increase drops below settings.epsilon.
     """
-    feasible = cfg.feasible_etas()
-    if not feasible:
-        raise ValueError("movable region admits no feasible sparsity level")
     step = cfg.wavelength / 4.0
-    evals = 0
-    best_val, best_y, best_eta = -np.inf, None, None
-    for e in feasible:
-        cand = position_grid(*cfg.position_bounds(e), step)
-        vals = snr_profile(cand, e, paths, cfg)
-        evals += cand.size
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val, best_y, best_eta = float(vals[i]), float(cand[i]), e
+    best_val, best_y, best_eta, evals = snr_scan(paths, cfg, step)
     prev, y, eta = best_val, best_y, best_eta
     trace: list[float] = []
     sca_iters: list[int] = []
@@ -168,7 +222,7 @@ def optimize_single_user(paths: PathSet, settings: OptimizerSettings,
             y0 = y  # the initialization scan already found the coarse argmax
         else:
             cand = np.append(position_grid(*cfg.position_bounds(eta), step), y)
-            vals = snr_profile(cand, eta, paths, cfg)
+            vals = snr_profile(cand, [eta], paths, cfg)[0]
             evals += cand.size
             y0 = float(cand[int(np.argmax(vals))])
         y_r, _, sca_trace = optimize_position_sca(eta, paths, y0, settings, cfg)

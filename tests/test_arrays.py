@@ -73,6 +73,17 @@ class TestArrayConfig:
         assert hi1 == cfg.y_max - 3 * cfg.d
         assert hi5 < hi1
 
+    def test_an_array_that_just_fits_keeps_y_min(self):
+        # y_max - 15d rounds an ulp below y_min = 0.01, while the array at
+        # y_min ends at y_min + 15d = y_max
+        d = WAVELENGTH / 2
+        cfg = ArrayConfig(M=16, N=2, wavelength=WAVELENGTH, y_min=0.01,
+                          y_max=0.01 + 15 * d, confine_aperture=True)
+        assert cfg.y_max - 15 * d < cfg.y_min
+        assert cfg.position_bounds(15) == (cfg.y_min, cfg.y_min)
+        assert cfg.feasible_etas()[-1] == 15
+        assert cfg.validate_position(cfg.y_min, 15) == cfg.y_min
+
     def test_unconfined_bounds_are_the_region(self):
         cfg = make_cfg(M=16, N=4)
         assert cfg.position_bounds(5) == (cfg.y_min, cfg.y_max)

@@ -50,13 +50,6 @@ class TestFpaMetric:
             fpa_metric(users, powers, cfg),
             sum_rate(cfg.y_min, 1, users, powers, cfg), rtol=1e-12)
 
-    def test_custom_position(self, cfg_small, rng):
-        users = [random_paths(rng, L=2)]
-        powers = LinkPowers(p_bar=np.array([1.0]))
-        y = 0.5 * (cfg_small.y_min + cfg_small.y_max)
-        assert fpa_metric(users, powers, cfg_small, y_fpa=y) == \
-            objective_metric(y, 1, users, powers, cfg_small)
-
 
 class TestMaLayout:
     def test_accepts_feasible_layout(self):
@@ -240,8 +233,9 @@ class TestExhaustiveSearch:
 
 
 class TestExhaustiveSingleUserPlainForm:
-    """The single-user grid search without the pair tables: one path, or
-    more pair-table entries than the cap of 4,000,000."""
+    """The single-user grid search at the edges of the pair sums: one path
+    (no pairs), and a grid of more than 4,000,000 pair products, which
+    snr_scan scores in many blocks."""
 
     @staticmethod
     def search_and_reference(paths, cfg, step, p_bar=1.7):
@@ -252,7 +246,7 @@ class TestExhaustiveSingleUserPlainForm:
         best, points = (-np.inf, None, None), 0
         for eta in cfg.feasible_etas():
             grid = position_grid(*cfg.position_bounds(eta), step)
-            vals = snr_profile(grid, eta, paths, cfg, p_bar)
+            vals = snr_profile(grid, [eta], paths, cfg, p_bar)[0]
             points += grid.size
             i = int(np.argmax(vals))
             if vals[i] > best[0]:
@@ -268,7 +262,7 @@ class TestExhaustiveSingleUserPlainForm:
         np.testing.assert_allclose(val, ref, rtol=1e-9)
         np.testing.assert_allclose(val, 1.7 * 0.64 * cfg.N, rtol=1e-9)
         np.testing.assert_allclose(
-            snr_profile([y], eta, ps, cfg, 1.7)[0], ref, rtol=1e-9)
+            snr_profile([y], [eta], ps, cfg, 1.7)[0, 0], ref, rtol=1e-9)
         lo, hi = cfg.position_bounds(eta)
         assert lo <= y <= hi and evals == points
 

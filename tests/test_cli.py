@@ -177,6 +177,17 @@ def test_rejects_a_grid_step_too_fine_to_index(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_reports_a_grid_too_large_to_allocate(tmp_path, capsys):
+    # 5.4e17 points fit numpy's index; numpy refuses the 3.77 EiB request
+    # at once, without allocating
+    out = tmp_path / "out.csv"
+    assert main(["landscape", "--grid-step", "1e-17", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 3.77 EiB")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 SMALL_SCENARIO = {"M": 16, "K": 2, "paths_per_user": 3, "region": [0.0, 0.03]}
 
 

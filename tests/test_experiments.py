@@ -41,9 +41,9 @@ class TestLandscape:
         scn = scenario_with(users, LinkPowers(p_bar=np.array([1.0])), cfg_small)
         y_grid = position_grid(cfg_small.y_min, cfg_small.y_max,
                                cfg_small.wavelength / 8)
-        result = landscape(scn, y_grid=y_grid, eta_set=[1, 2, 3])
+        result = landscape(scn, grid_step=cfg_small.wavelength / 8)
         direct = [objective_metric(float(y), eta, users, scn.powers, cfg_small)
-                  for eta in (1, 2, 3) for y in y_grid]
+                  for eta in cfg_small.feasible_etas() for y in y_grid]
         np.testing.assert_allclose(result.metric_max, max(direct), rtol=1e-12)
         np.testing.assert_allclose(result.metric_min, min(direct), rtol=1e-12)
         np.testing.assert_allclose(
@@ -57,9 +57,11 @@ class TestLandscape:
         assert result.metric.shape == (len(result.eta_values), result.y_values.size)
 
     def test_rejects_empty_grids(self):
-        scn = sample_scenario(SMALL, trial=0)
-        with pytest.raises(ValueError):
-            landscape(scn, eta_set=[])
+        # the confined region is shorter than the compact aperture 3d
+        params = replace(SMALL, region=(0.0, 0.01), confine_aperture=True)
+        scn = sample_scenario(params, trial=0)
+        with pytest.raises(ValueError, match="no feasible sparsity level"):
+            landscape(scn)
 
 
 class TestRunCompare:

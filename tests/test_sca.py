@@ -1,12 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gma.arrays import PathSet, sparse_steering_matrix
+from gma import sca
+from gma.arrays import ArrayConfig, PathSet, sparse_steering_matrix
 from gma.optim import OptimizerSettings, position_grid
 from gma.sca import (ScaState, make_sca_state, optimize_position_sca,
                      optimize_single_user, optimize_sparsity, path_matrix,
-                     phase_vector, snr_profile, surrogate_step)
+                     phase_vector, snr_profile, snr_scan, surrogate_step)
 
 from util import (WAVELENGTH, fd_highprec, g_derivative, g_second_derivative,
                   g_value, loop_channel, make_cfg, random_paths, surrogate_value)
@@ -57,9 +60,65 @@ class TestPathMatrix:
     def test_snr_profile_matches_channel_norms(self, cfg_small, rng):
         ps = random_paths(rng, L=3)
         ys = rng.uniform(0.0, cfg_small.y_max, 50)
-        prof = snr_profile(ys, 2, ps, cfg_small, p_bar=1.7)
+        prof = snr_profile(ys, [2], ps, cfg_small, p_bar=1.7)[0]
         expected = [1.7 * objective(y, 2, ps, cfg_small) for y in ys]
         np.testing.assert_allclose(prof, expected, rtol=1e-9)
+
+
+def per_level_snr_scan(paths, cfg, step, p_bar):
+    """(value, y, eta, evals) of the single-user grid, one level at a time."""
+    best, evals = (-np.inf, None, None), 0
+    for eta in cfg.feasible_etas():
+        grid = position_grid(*cfg.position_bounds(eta), step)
+        vals = snr_profile(grid, [eta], paths, cfg, p_bar)[0]
+        evals += grid.size
+        i = int(np.argmax(vals))
+        if vals[i] > best[0]:
+            best = (float(vals[i]), float(grid[i]), eta)
+    return (*best, evals)
+
+
+class TestSnrScan:
+    @given(seed=st.integers(0, 10 ** 6), L=st.integers(1, 4),
+           M=st.sampled_from([8, 16, 32]), mult=st.integers(1, 8),
+           confine=st.booleans(), shape=st.sampled_from(["random", "flat", "rising"]),
+           step_kind=st.sampled_from(["d/8", "lambda/100", "random"]),
+           cap=st.sampled_from([1, 9, 40]))
+    def test_blocks_equal_the_per_level_loop(self, seed, L, M, mult, confine,
+                                             shape, step_kind, cap):
+        # a small entry cap puts block edges inside every level. "rising"
+        # paths put each level's maximum at the end of its grid, the end
+        # that confine_aperture moves off the region's grid; "flat"
+        # (broadside) paths tie every point of every level.
+        rng = np.random.default_rng(seed)
+        d = WAVELENGTH / 2
+        y_min = float(rng.uniform(0.0, 0.1))
+        cfg = ArrayConfig(M=M, N=4, wavelength=WAVELENGTH, y_min=y_min,
+                          y_max=y_min + mult * 4 * d, confine_aperture=confine)
+        paths = random_paths(rng, L=L)
+        if shape == "flat":
+            paths = PathSet(gains=paths.gains, aoas=np.zeros(L))
+        elif shape == "rising":
+            # the beat is in phase pi/2 + 0.5 at y_min and turns less than
+            # 2 rad over the region and the elements, so the SNR rises
+            beat = np.pi / 2 + 0.5 + 2 * np.pi / WAVELENGTH * y_min * 0.01
+            s = rng.uniform(-0.5, 0.5)
+            paths = PathSet(gains=[1.0, 0.7 * np.exp(-1j * beat)],
+                            aoas=np.arcsin([s, s + 0.01]))
+        p_bar = float(rng.uniform(0.5, 4.0))
+        step = {"d/8": d / 8, "lambda/100": WAVELENGTH / 100,
+                "random": float(rng.uniform(d / 40, d / 4))}[step_kind]
+        with mock.patch.object(sca, "_BLOCK_ENTRIES", cap):
+            got = snr_scan(paths, cfg, step, p_bar)
+        assert got == per_level_snr_scan(paths, cfg, step, p_bar)
+        if shape == "flat":
+            assert got[1:3] == (cfg.y_min, 1)
+
+    def test_rejects_a_region_without_levels(self):
+        cfg = make_cfg(M=16, N=4, span_wavelengths=1.0, confine_aperture=True)
+        ps = PathSet(gains=[1.0], aoas=[0.3])
+        with pytest.raises(ValueError, match="no feasible sparsity level"):
+            snr_scan(ps, cfg, WAVELENGTH / 16)
 
 
 class TestPhaseVector:
@@ -122,7 +181,7 @@ class TestSurrogate:
         # quadratic minorant never exceeds g
         assert np.all(surrogate_value(ys, state, ps, cfg) <= g_all + tol)
         # first-order model never exceeds the true objective
-        obj_all = snr_profile(ys, eta, ps, cfg)
+        obj_all = snr_profile(ys, [eta], ps, cfg)[0]
         assert np.all(2 * g_all - state.objective <= obj_all + tol)
         # curvature cap dominates the second derivative everywhere
         g2 = g_second_derivative(ys, state.b, ps.aoas, cfg.wavelength)
@@ -180,17 +239,17 @@ class TestOptimizePosition:
                          aoas=np.array([-theta, theta]))
             # the ascent is local, so seed it the way the alternating
             # optimizer does: from the coarse-grid argmax
-            y0 = float(coarse[int(np.argmax(snr_profile(coarse, 2, ps, cfg)))])
+            y0 = float(coarse[int(np.argmax(snr_profile(coarse, [2], ps, cfg)[0]))])
             y_star, obj, _ = optimize_position_sca(2, ps, y0, SETTINGS, cfg)
             grid = position_grid(0.0, cfg.y_max, WAVELENGTH / 1000)
-            best = float(np.max(snr_profile(grid, 2, ps, cfg)))
+            best = float(np.max(snr_profile(grid, [2], ps, cfg)[0]))
             assert 10 * np.log10(obj / best) > -0.01
 
     def test_starting_at_grid_argmax_stays_put(self, rng):
         cfg = make_cfg(span_wavelengths=10.0)
         ps = two_path(rng)
         grid = position_grid(0.0, cfg.y_max, WAVELENGTH / 1000)
-        prof = snr_profile(grid, 2, ps, cfg)
+        prof = snr_profile(grid, [2], ps, cfg)[0]
         y0 = float(grid[int(np.argmax(prof))])
         y_star, obj, trace = optimize_position_sca(2, ps, y0, SETTINGS, cfg)
         assert obj >= trace[0] - 1e-12 * abs(trace[0])
