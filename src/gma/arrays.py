@@ -10,6 +10,7 @@ position y inside the movable region [y_min, y_max].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,8 +86,10 @@ class ArrayConfig:
         """Spacing normalized by the wavelength."""
         return self.d / self.wavelength
 
-    @property
+    @cached_property
     def eta_max(self) -> int:
+        # computed once per config: it is not a field, so repr, eq and hash
+        # leave it out
         return max_sparsity(self.M, self.N)
 
     @property

@@ -182,10 +182,12 @@ def exhaustive_search(users, powers: LinkPowers, cfg: ArrayConfig,
     position-sparsity product grid.
 
     One user is scanned by sca.snr_scan, several by multiuser.scan; both
-    score level eta on position_grid(*cfg.position_bounds(eta), fine_step).
+    search level eta on position_grid(*cfg.position_bounds(eta), fine_step).
     Ties resolve toward the smaller sparsity level, then the smaller grid
-    index. evals counts the (y, eta) points scored. It is a reference for
-    the optimizers, not a bound on them: they refine between its points.
+    index. evals counts the (y, eta) grid points searched, each whether it
+    was scored or, on one user, covered by its level's Gram bound. It is a
+    reference for the optimizers, not a bound on them: they refine between
+    its points.
     """
     if not fine_step > 0:
         raise ValueError(f"grid step must be positive, got {fine_step}")

@@ -2,9 +2,13 @@
 
 The SNR at sparsity eta and reference position y is p_bar*||A(eta) f(y)||^2
 with A(eta) the gain-weighted sparse steering matrix (one column per path)
-and f(y) the vector of per-path position phases. snr_profile is the one
-scorer of that quantity: SCA's grids, its sparsity search and the
-single-user grid search (snr_scan, the K = 1 oracle) all call it. The
+and f(y) the vector of per-path position phases. One arithmetic path scores
+that quantity: pair products of the phases (_pair_products), summed per
+level with its Gram entries (_level_sum). snr_profile scores SCA's grids
+and its sparsity search with it. snr_scan, the single-user grid search (SCA's
+start and the K = 1 oracle), scores with it too, and skips each level once
+the level's Gram bound p_bar*sum_ij |G_ij| falls below the best value found
+(branch and bound over eta); its result is that of scoring every point. The
 position subproblem is solved by ascending a concave quadratic minorant
 (successive convex approximation); the sparsity subproblem by exhaustive
 discrete search; the two alternate until the objective stalls.
@@ -13,6 +17,8 @@ discrete search; the two alternate until the objective stalls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,78 +41,150 @@ def phase_vector(y: float, paths: PathSet, cfg: ArrayConfig) -> np.ndarray:
     return np.exp(1j * (2.0 * np.pi / cfg.wavelength) * y * np.sin(paths.aoas))
 
 
+@lru_cache
+def _path_pairs(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j) of the path pairs i < j, in row-major order."""
+    i, j = np.triu_indices(L, k=1)
+    i.flags.writeable = j.flags.writeable = False  # shared by every caller
+    return i, j
+
+
+def _pair_products(y_values: np.ndarray, paths: PathSet,
+                   cfg: ArrayConfig) -> np.ndarray:
+    """Re(conj(f_i) f_j) rows, then Im(conj(f_i) f_j) rows, for the path
+    pairs i < j at a batch of positions, shape (L*(L-1), B).
+
+    The products do not depend on eta. They are formed in real arithmetic,
+    so each column gets the same bits in every batch.
+    """
+    f = path_phases(y_values, paths.aoas, cfg).T  # (L, B)
+    re, im = f.real.copy(), f.imag.copy()
+    i, j = _path_pairs(paths.L)
+    pairs = np.empty((2 * i.size, y_values.size))
+    for p, (a, b) in enumerate(zip(i, j)):
+        np.add(re[a] * re[b], im[a] * im[b], out=pairs[p])
+        np.subtract(re[a] * im[b], im[a] * re[b], out=pairs[i.size + p])
+    return pairs
+
+
+class _Level(NamedTuple):
+    """One level's Gram terms for the pair sums, from G = A(eta)^H A(eta).
+
+    weights are 2*Re(G_ij), then -2*Im(G_ij), for i < j, in the row order of
+    _pair_products. bound = trace + sum_ij |2*G_ij| is at least ||A f||^2 at
+    every position, since the phases f_i have unit modulus.
+    """
+
+    trace: float
+    weights: list[float]
+    bound: float
+
+
+def _gram_level(eta: int, paths: PathSet, cfg: ArrayConfig) -> _Level:
+    A = path_matrix(eta, paths, cfg)
+    gram = A.conj().T @ A
+    g = 2.0 * gram[_path_pairs(paths.L)]
+    trace = float(np.real(np.trace(gram)))
+    return _Level(trace, np.concatenate([g.real, -g.imag]).tolist(),
+                  trace + float(np.sum(np.abs(g))))
+
+
+def _level_sum(out: np.ndarray, level: _Level, pairs: np.ndarray,
+               p_bar: float) -> None:
+    """Write p_bar*||A f||^2 into out: the trace, plus each pair product
+    times its weight, added pair by pair in a fixed order."""
+    out[:] = level.trace
+    for w, pair in zip(level.weights, pairs):
+        out += w * pair
+    out *= p_bar
+
+
 def snr_profile(y_values, etas, paths: PathSet, cfg: ArrayConfig,
                 p_bar: float = 1.0) -> np.ndarray:
     """p_bar*||A(eta) f(y)||^2 at each level in etas over a batch of
     positions, shape (len(etas), B).
 
     With G = A^H A and unit-modulus phases f_i(y),
-    ||A f||^2 = sum_i G_ii + 2 sum_{i<j} Re(G_ij conj(f_i) f_j). The pair
-    products do not depend on eta: a call forms them once, in real
-    arithmetic, and each level sums them with its Gram entries in a fixed
-    order, so a value does not depend on its batch (a BLAS matvec rounds a
-    column by its place in the batch).
+    ||A f||^2 = sum_i G_ii + 2 sum_{i<j} Re(G_ij conj(f_i) f_j). A call forms
+    the eta-independent pair products once, and each level sums them with
+    its Gram entries in a fixed order (_level_sum), so a value does not
+    depend on its batch (a BLAS matvec rounds a column by its place in the
+    batch).
     """
     y_values = np.atleast_1d(np.asarray(y_values, dtype=np.float64))
-    f = path_phases(y_values, paths.aoas, cfg).T  # (L, B)
-    re, im = f.real.copy(), f.imag.copy()
-    i, j = np.triu_indices(paths.L, k=1)
-    pairs = np.empty((2 * i.size, y_values.size))  # Re rows, then Im rows
-    for p, (a, b) in enumerate(zip(i, j)):
-        np.add(re[a] * re[b], im[a] * im[b], out=pairs[p])
-        np.subtract(re[a] * im[b], im[a] * re[b], out=pairs[i.size + p])
+    pairs = _pair_products(y_values, paths, cfg)
     out = np.empty((len(etas), y_values.size))
     for row, eta in zip(out, etas):
-        A = path_matrix(eta, paths, cfg)
-        gram = A.conj().T @ A
-        g = 2.0 * gram[i, j]
-        row[:] = np.real(np.trace(gram))
-        for w, pair in zip(np.concatenate([g.real, -g.imag]).tolist(), pairs):
-            row += w * pair
-    out *= p_bar
+        _level_sum(row, _gram_level(eta, paths, cfg), pairs, p_bar)
     return out
 
 
-_BLOCK_ENTRIES = 1 << 20  # pair products plus level values per snr_scan block
+_BLOCK_ENTRIES = 1 << 16  # pair products plus the level row per snr_scan block
+_BOUND_MARGIN = 1e-9  # relative; rounding moves a value by under 1e-13 of its bound
 
 
 def snr_scan(paths: PathSet, cfg: ArrayConfig, step: float,
              p_bar: float = 1.0) -> tuple[float, float, int, int]:
     """Grid maximum (value, y, eta, evals) of p_bar*||A(eta) f(y)||^2.
 
-    Level eta is scanned on position_grid(*cfg.position_bounds(eta), step):
+    Level eta is searched on position_grid(*cfg.position_bounds(eta), step):
     a prefix of the region's grid, plus any upper end that confine_aperture
-    moves off it, scored on its own. The region's grid is scored in blocks
-    of at most _BLOCK_ENTRIES pair products and level values. Ties go to the
-    smaller eta, then the smaller index; evals sums the grid sizes.
+    moves off it, searched after the blocks. The region's grid is scored in
+    blocks of at most _BLOCK_ENTRIES pair products and level values.
+
+    Branch and bound over the levels: no value of level eta exceeds
+    b(eta) = p_bar*(sum_ij |G_ij(eta)|). A block visits its levels in
+    decreasing b(eta) and skips a level, its upper end included, once
+    b(eta)*(1 + _BOUND_MARGIN) is below the best value scored so far; such a
+    level can neither win nor tie. The result is that of scoring every
+    point: ties go to the smaller eta, then the smaller index, and evals
+    sums the grid sizes, each point counted whether it was scored or
+    covered by its level's bound.
     """
     etas = cfg.feasible_etas()
     if not etas:
         raise ValueError("movable region admits no feasible sparsity level")
     pts = position_grid(cfg.y_min, cfg.y_max, step)
-    size, ends = {}, {}
+    size, ends, levels = {}, {}, {}
     for eta in etas:
         grid = (position_grid(*cfg.position_bounds(eta), step)
                 if cfg.confine_aperture else pts)
         size[eta] = int(np.searchsorted(pts, grid[-1], side="right"))
         ends[eta] = grid[size[eta]:]
-    best = {}  # level -> (value, y) of its first maximum
+        levels[eta] = _gram_level(eta, paths, cfg)
+    ceiling = {eta: p_bar * levels[eta].bound * (1.0 + _BOUND_MARGIN)
+               for eta in etas}  # b(eta) with its margin
+    order = sorted(etas, key=lambda e: -ceiling[e])
+    best = {}  # level -> (value, y) of its first maximum among scored points
+    top = -np.inf  # best value scored so far
 
-    def keep(eta, vals, ys):
-        i = int(np.argmax(vals))
-        if eta not in best or vals[i] > best[eta][0]:
-            best[eta] = (float(vals[i]), float(ys[i]))
+    def score(eta, ys, pairs, out):
+        nonlocal top
+        _level_sum(out, levels[eta], pairs, p_bar)
+        i = int(np.argmax(out))
+        if eta not in best or out[i] > best[eta][0]:
+            best[eta] = (float(out[i]), float(ys[i]))
+            top = max(top, best[eta][0])
 
-    block = max(1, _BLOCK_ENTRIES // (paths.L * (paths.L - 1) + len(etas)))
+    live = order
+    block = max(1, _BLOCK_ENTRIES // (paths.L * (paths.L - 1) + 1))
+    row = np.empty(min(block, pts.size))
     for start in range(0, max(size.values()), block):
-        ys = pts[start:start + block]
-        levels = [eta for eta in etas if size[eta] > start]
-        for eta, vals in zip(levels, snr_profile(ys, levels, paths, cfg, p_bar)):
-            keep(eta, vals[:size[eta] - start], ys)
-    for eta, end in ends.items():
-        if end.size:
-            keep(eta, snr_profile(end, [eta], paths, cfg, p_bar)[0], end)
-    eta = max(etas, key=lambda e: best[e][0])
+        live = [eta for eta in live if size[eta] > start and ceiling[eta] >= top]
+        if not live:
+            break
+        ys = pts[start:min(start + block, max(size[eta] for eta in live))]
+        pairs = _pair_products(ys, paths, cfg)
+        for eta in live:
+            if ceiling[eta] < top:
+                break  # and every level after it
+            n = min(size[eta] - start, ys.size)
+            score(eta, ys[:n], pairs[:, :n], row[:n])
+    for eta in order:
+        if ends[eta].size and ceiling[eta] >= top:
+            score(eta, ends[eta], _pair_products(ends[eta], paths, cfg),
+                  np.empty(ends[eta].size))
+    eta = max((e for e in etas if e in best), key=lambda e: best[e][0])
     return (*best[eta], eta, sum(size[e] + ends[e].size for e in etas))
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from gma import sca
 from gma.arrays import ArrayConfig, PathSet, sparse_steering_matrix
 from gma.optim import OptimizerSettings, position_grid
+from gma.scenario import ScenarioParams, sample_scenario
 from gma.sca import (ScaState, make_sca_state, optimize_position_sca,
                      optimize_single_user, optimize_sparsity, path_matrix,
                      phase_vector, snr_profile, snr_scan, surrogate_step)
@@ -78,41 +79,128 @@ def per_level_snr_scan(paths, cfg, step, p_bar):
     return (*best, evals)
 
 
+# p_bar: 0 and log-uniform over [1e-6, 1e12]
+P_BARS = st.one_of(st.just(0.0), st.floats(-6.0, 12.0).map(lambda e: 10.0 ** e))
+
+SCAN_CASES = dict(
+    seed=st.integers(0, 10 ** 6), M=st.sampled_from([8, 16, 32]),
+    mult=st.integers(1, 8), confine=st.booleans(),
+    shape=st.sampled_from(["random", "flat", "rising", "twin"]),
+    step_kind=st.sampled_from(["d/8", "lambda/100", "random"]), p_bar=P_BARS)
+
+
+def scan_case(seed, L, M, mult, confine, shape, step_kind):
+    """(cfg, paths, step) of one drawn single-user grid.
+
+    "rising" paths (two of them, whatever L) put each level's maximum at the
+    end of its grid, the end that confine_aperture moves off the region's
+    grid; "flat" (broadside) paths tie every point of every level; "twin"
+    paths share one AoA and one gain phase, so rounding lifts values above
+    the bound p_bar * sum_ij |G_ij| that the level reaches.
+    """
+    rng = np.random.default_rng(seed)
+    d = WAVELENGTH / 2
+    y_min = float(rng.uniform(0.0, 0.1))
+    cfg = ArrayConfig(M=M, N=4, wavelength=WAVELENGTH, y_min=y_min,
+                      y_max=y_min + mult * 4 * d, confine_aperture=confine)
+    paths = random_paths(rng, L=L)
+    if shape == "flat":
+        paths = PathSet(gains=paths.gains, aoas=np.zeros(L))
+    elif shape == "twin":
+        paths = PathSet(gains=np.abs(paths.gains) * np.exp(0.3j),
+                        aoas=np.full(L, paths.aoas[0]))
+    elif shape == "rising":
+        # the beat is in phase pi/2 + 0.5 at y_min and turns less than
+        # 2 rad over the region and the elements, so the SNR rises
+        beat = np.pi / 2 + 0.5 + 2 * np.pi / WAVELENGTH * y_min * 0.01
+        s = rng.uniform(-0.5, 0.5)
+        paths = PathSet(gains=[1.0, 0.7 * np.exp(-1j * beat)],
+                        aoas=np.arcsin([s, s + 0.01]))
+    step = {"d/8": d / 8, "lambda/100": WAVELENGTH / 100,
+            "random": float(rng.uniform(d / 40, d / 4))}[step_kind]
+    return cfg, paths, step
+
+
+def summed_rows(monkeypatch) -> list[int]:
+    """A one-entry list that counts the level values _level_sum writes."""
+    rows, level_sum = [0], sca._level_sum
+
+    def counting(out, *args):
+        rows[0] += out.size
+        level_sum(out, *args)
+
+    monkeypatch.setattr(sca, "_level_sum", counting)
+    return rows
+
+
 class TestSnrScan:
-    @given(seed=st.integers(0, 10 ** 6), L=st.integers(1, 4),
-           M=st.sampled_from([8, 16, 32]), mult=st.integers(1, 8),
-           confine=st.booleans(), shape=st.sampled_from(["random", "flat", "rising"]),
-           step_kind=st.sampled_from(["d/8", "lambda/100", "random"]),
-           cap=st.sampled_from([1, 9, 40]))
+    @given(L=st.integers(1, 4), cap=st.sampled_from([1, 9, 40]), **SCAN_CASES)
     def test_blocks_equal_the_per_level_loop(self, seed, L, M, mult, confine,
-                                             shape, step_kind, cap):
-        # a small entry cap puts block edges inside every level. "rising"
-        # paths put each level's maximum at the end of its grid, the end
-        # that confine_aperture moves off the region's grid; "flat"
-        # (broadside) paths tie every point of every level.
-        rng = np.random.default_rng(seed)
-        d = WAVELENGTH / 2
-        y_min = float(rng.uniform(0.0, 0.1))
-        cfg = ArrayConfig(M=M, N=4, wavelength=WAVELENGTH, y_min=y_min,
-                          y_max=y_min + mult * 4 * d, confine_aperture=confine)
-        paths = random_paths(rng, L=L)
-        if shape == "flat":
-            paths = PathSet(gains=paths.gains, aoas=np.zeros(L))
-        elif shape == "rising":
-            # the beat is in phase pi/2 + 0.5 at y_min and turns less than
-            # 2 rad over the region and the elements, so the SNR rises
-            beat = np.pi / 2 + 0.5 + 2 * np.pi / WAVELENGTH * y_min * 0.01
-            s = rng.uniform(-0.5, 0.5)
-            paths = PathSet(gains=[1.0, 0.7 * np.exp(-1j * beat)],
-                            aoas=np.arcsin([s, s + 0.01]))
-        p_bar = float(rng.uniform(0.5, 4.0))
-        step = {"d/8": d / 8, "lambda/100": WAVELENGTH / 100,
-                "random": float(rng.uniform(d / 40, d / 4))}[step_kind]
+                                             shape, step_kind, p_bar, cap):
+        # a small entry cap puts block edges inside every level
+        cfg, paths, step = scan_case(seed, L, M, mult, confine, shape, step_kind)
         with mock.patch.object(sca, "_BLOCK_ENTRIES", cap):
             got = snr_scan(paths, cfg, step, p_bar)
         assert got == per_level_snr_scan(paths, cfg, step, p_bar)
         if shape == "flat":
             assert got[1:3] == (cfg.y_min, 1)
+
+    @given(L=st.integers(1, 6), **SCAN_CASES)
+    def test_level_bound_covers_every_value(self, seed, L, M, mult, confine,
+                                            shape, step_kind, p_bar):
+        # the bound p_bar * sum_ij |G_ij(eta)| that lets snr_scan skip levels
+        cfg, paths, step = scan_case(seed, L, M, mult, confine, shape, step_kind)
+        for eta in cfg.feasible_etas():
+            A = path_matrix(eta, paths, cfg)
+            bound = sca._gram_level(eta, paths, cfg).bound
+            np.testing.assert_allclose(
+                bound, np.sum(np.abs(A.conj().T @ A)), rtol=1e-12)
+            vals = snr_profile(position_grid(*cfg.position_bounds(eta), step),
+                               [eta], paths, cfg, p_bar)[0]
+            assert np.all(vals <= p_bar * bound * (1 + sca._BOUND_MARGIN))
+
+    def test_default_trial_sums_few_level_rows(self, monkeypatch):
+        sc = sample_scenario(ScenarioParams(K=1), 0)
+        cfg, paths, p_bar = sc.cfg, sc.users[0], float(sc.powers.p_bar[0])
+        step = cfg.wavelength / 100
+        rows = summed_rows(monkeypatch)
+        got = snr_scan(paths, cfg, step, p_bar)
+        grid = position_grid(cfg.y_min, cfg.y_max, step)
+        assert rows[0] < 0.2 * len(cfg.feasible_etas()) * grid.size
+        assert got == per_level_snr_scan(paths, cfg, step, p_bar)
+
+    @pytest.mark.parametrize("L", [1, 3])
+    @pytest.mark.parametrize("confine", [False, True])
+    @pytest.mark.parametrize("p_bar", [0.0, 1.7])
+    @pytest.mark.parametrize("scale", [lambda eta: 1.0, lambda eta: 1 - 1e-12,
+                                       lambda eta: 1.0 + eta],
+                             ids=["exact", "low", "larger_eta_first"])
+    def test_tied_levels_are_all_scored(self, monkeypatch, L, confine, p_bar,
+                                        scale):
+        # broadside paths tie every point of every level at its bound. No
+        # level may be skipped, not even when its bound rounds up to 1e-12
+        # below its values, and the tie goes to eta = 1 whatever order the
+        # levels are visited in.
+        cfg = make_cfg(M=16, N=4, span_wavelengths=2.0, confine_aperture=confine)
+        paths = PathSet(gains=np.linspace(0.5, 1.5, L) * np.exp(0.3j),
+                        aoas=np.zeros(L))
+        gram_level = sca._gram_level
+
+        def scaled(eta, *args):
+            level = gram_level(eta, *args)
+            return level._replace(bound=level.bound * scale(eta))
+
+        monkeypatch.setattr(sca, "_gram_level", scaled)
+        monkeypatch.setattr(sca, "_BLOCK_ENTRIES", 64)  # several blocks
+        rows = summed_rows(monkeypatch)
+        step = WAVELENGTH / 37
+        _, y, eta, evals = snr_scan(paths, cfg, step, p_bar)
+        assert rows[0] == evals
+        assert (y, eta) == (cfg.y_min, 1)
+        if confine:  # so the upper ends scored on their own count too
+            pts = position_grid(cfg.y_min, cfg.y_max, step)
+            assert any(position_grid(*cfg.position_bounds(e), step)[-1] not in pts
+                       for e in cfg.feasible_etas())
 
     def test_rejects_a_region_without_levels(self):
         cfg = make_cfg(M=16, N=4, span_wavelengths=1.0, confine_aperture=True)
