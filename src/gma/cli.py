@@ -2,8 +2,10 @@
 
 Subcommands: landscape, single-user, multi-user, sweep, compare. Each reads
 an optional JSON config (sections: scenario, optimizer, grid, experiment;
-unknown keys and malformed values are rejected), applies CLI overrides,
-writes a CSV plus a .meta.json sidecar, and prints a short summary.
+unknown keys, malformed values and experiment values the command does not
+read are rejected), lays the CLI flags over it, writes a CSV plus a
+.meta.json sidecar that records every value the run read, and prints a
+short summary.
 """
 
 from __future__ import annotations
@@ -15,12 +17,22 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .arrays import _as_int, _is_real
-from .experiments import (SCHEMES, landscape, run_compare, run_metadata,
-                          run_sweep, write_landscape_csv, write_metadata,
+from .experiments import (COMPARE_SCHEMES, SWEEP_SCHEMES, ExperimentSettings,
+                          landscape, run_compare, run_metadata, run_sweep,
+                          write_landscape_csv, write_metadata,
                           write_records_csv)
 from .optim import GridSpec, OptimizerSettings
 from .scenario import ScenarioParams, sample_scenario
+
+_SECTIONS = {"scenario": ScenarioParams, "optimizer": OptimizerSettings,
+             "grid": GridSpec, "experiment": ExperimentSettings}
+# each command's schemes when none are given
+_DEFAULT_SCHEMES = {"single-user": ("gma",), "multi-user": ("gma",),
+                    "compare": COMPARE_SCHEMES, "sweep": SWEEP_SCHEMES}
+# the experiment values each command reads; giving any other is an error
+_TRIAL_VALUES = ("seeds", "schemes", "oracle_step", "ma_restarts")
+_READS = {"landscape": (),
+          "sweep": tuple(f.name for f in fields(ExperimentSettings))}
 
 
 class ConfigError(ValueError):
@@ -37,10 +49,6 @@ def _build(cls, section: dict, what: str):
     return cls(**coerced)
 
 
-_EXPERIMENT_KEYS = {"seeds", "schemes", "region_multiples", "element_counts",
-                    "oracle_step", "ma_restarts"}
-
-
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -51,13 +59,12 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(config) - {"scenario", "optimizer", "grid", "experiment"}
+    unknown = set(config) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    exp = config.get("experiment", {})
-    bad = set(exp) - _EXPERIMENT_KEYS
-    if bad:
-        raise ConfigError(f"unknown experiment keys: {sorted(bad)}")
+    for name, section in config.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name} must be a JSON object")
     return config
 
 
@@ -88,56 +95,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setup(args):
+    """(params, settings, grid, experiment): each config section with its
+    command-line flags laid over it, built into its dataclass."""
     config = load_config(args.config)
-    params = _build(ScenarioParams, config.get("scenario", {}), "scenario")
-    settings = _build(OptimizerSettings, config.get("optimizer", {}), "optimizer")
-    grid = _build(GridSpec, config.get("grid", {}), "grid")
-    exp = dict(config.get("experiment", {}))
-    if args.seed is not None:
-        params = replace(params, seed=args.seed)
-    if args.seeds is not None:
-        exp["seeds"] = args.seeds
+    schemes = None
     if args.scheme is not None:
-        exp["schemes"] = [s.strip() for s in args.scheme.split(",") if s.strip()]
-    if args.grid_step is not None:
-        grid = replace(grid, step=args.grid_step)
-    return params, settings, grid, exp
-
-
-def _experiment_values(exp: dict) -> dict:
-    """The experiment section with every value checked.
-
-    seeds, ma_restarts and oracle_step get their defaults; a list that is
-    not given stays absent, so that the command picks its own default.
-    """
-    trials = _as_int(exp.get("seeds", 1), "seeds")
-    if trials < 1:
-        raise ConfigError(f"seeds must be at least 1, got {trials}")
-    restarts = _as_int(exp.get("ma_restarts", 0), "ma_restarts")
-    if restarts < 0:
-        raise ConfigError(f"ma_restarts must be at least 0, got {restarts}")
-    step = exp.get("oracle_step")
-    if step is not None and not (_is_real(step) and step > 0):
-        raise ConfigError(
-            f"oracle_step must be a finite number above 0, got {step!r}")
-    checked = {"seeds": trials, "ma_restarts": restarts, "oracle_step": step}
-    for key, ok, what in (
-            ("schemes", lambda v: v in SCHEMES, f"among {SCHEMES}"),
-            ("region_multiples", lambda v: _is_real(v) and v >= 0,
-             "finite numbers of at least 0"),
-            ("element_counts", lambda v: type(v) is int, "integers")):
-        if key not in exp:
-            continue
-        values = exp[key]
-        if not isinstance(values, (list, tuple)) or not values:
-            raise ConfigError(f"{key} must be a non-empty list, got {values!r}")
-        for v in values:
-            if not ok(v):
-                raise ConfigError(f"{key} entries must be {what}, got {v!r}")
-        if len(set(values)) != len(values):
-            raise ConfigError(f"{key} lists a value twice: {list(values)}")
-        checked[key] = tuple(values)
-    return checked
+        schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
+    flags = {"scenario": {"seed": args.seed}, "grid": {"step": args.grid_step},
+             "experiment": {"seeds": args.seeds, "schemes": schemes}}
+    built = []
+    for name, cls in _SECTIONS.items():
+        section = dict(config.get(name, {}))
+        section.update((k, v) for k, v in flags.get(name, {}).items()
+                       if v is not None)
+        built.append(_build(cls, section, name))
+    return built
 
 
 def _force_single_user(params: ScenarioParams) -> ScenarioParams:
@@ -157,16 +129,22 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params, settings, grid, exp = _setup(args)
-        exp = _experiment_values(exp)
-        trials = exp["seeds"]
+        reads = _READS.get(args.command, _TRIAL_VALUES)
+        unset = ExperimentSettings()
+        for f in fields(exp):
+            if f.name not in reads and getattr(exp, f.name) != getattr(unset, f.name):
+                raise ConfigError(
+                    f"{args.command} does not read the experiment value {f.name}")
+        if exp.schemes is None:
+            exp = replace(exp, schemes=_DEFAULT_SCHEMES.get(args.command))
         out = args.out if args.out is not None else f"gma_{args.command.replace('-', '_')}.csv"
-        meta_extra = {"command": args.command, "trials": trials,
-                      "master_seed": params.seed}
+        meta_extra = {"command": args.command, "trials": exp.seeds,
+                      "master_seed": params.seed,
+                      "experiment": {name: getattr(exp, name) for name in reads}}
 
         if args.command == "landscape":
             scenario = sample_scenario(params, trial=0)
-            result = landscape(scenario, grid_step=grid.resolve_step(
-                scenario.cfg.wavelength))
+            result = landscape(scenario, grid_step=grid.step)
             write_landscape_csv(result, out)
             write_metadata(out, run_metadata(params, settings, grid, meta_extra))
             print(f"landscape: max {result.metric_max:.6g}, "
@@ -176,31 +154,21 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "sweep":
-            multiples = exp.get("region_multiples", (1, 2, 4, 8))
-            counts = exp.get("element_counts", (32, 64, 128))
-            schemes = exp.get("schemes", ("gma", "fpa"))
-            records = run_sweep(params, settings, grid, trials,
-                                region_multiples=multiples,
-                                element_counts=counts, schemes=schemes)
-            write_records_csv(records, out)
-            write_metadata(out, run_metadata(params, settings, grid, meta_extra))
-            _print_scheme_means(records)
-            print(f"wrote {out} ({len(records)} records)")
-            return 0
-
-        single_user_sca = args.command == "single-user"
-        if single_user_sca:
-            params = _force_single_user(params)
-            default_schemes = ("gma",)
-        elif args.command == "multi-user":
-            default_schemes = ("gma",)
-        else:  # compare
-            default_schemes = ("gma", "fpa", "ma")
-        schemes = exp.get("schemes", default_schemes)
-        records = run_compare(params, settings, grid, trials, schemes=schemes,
-                              oracle_step=exp["oracle_step"],
-                              single_user_sca=single_user_sca,
-                              ma_restarts=exp["ma_restarts"])
+            records = run_sweep(params, settings, grid, exp.seeds,
+                                region_multiples=exp.region_multiples,
+                                element_counts=exp.element_counts,
+                                schemes=exp.schemes,
+                                oracle_step=exp.oracle_step,
+                                ma_restarts=exp.ma_restarts)
+        else:
+            single_user_sca = args.command == "single-user"
+            if single_user_sca:
+                params = _force_single_user(params)
+            records = run_compare(params, settings, grid, exp.seeds,
+                                  schemes=exp.schemes,
+                                  oracle_step=exp.oracle_step,
+                                  single_user_sca=single_user_sca,
+                                  ma_restarts=exp.ma_restarts)
         write_records_csv(records, out)
         write_metadata(out, run_metadata(params, settings, grid, meta_extra))
         _print_scheme_means(records)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arrays import ArrayConfig
+from .arrays import ArrayConfig, _as_int, _is_real
 from .baselines import (exhaustive_search, fpa_metric, gma_element_positions,
                         layout_metric, ma_optimize)
 from .combining import metric_profiles, objective_metric
@@ -34,8 +34,54 @@ from .sca import optimize_single_user
 CSV_COLUMNS = ("seed", "scheme", "K", "M", "N", "Y_over_D", "eta_max",
                "y_star", "eta_star", "metric", "evals", "wall_ms")
 SCHEMES = ("gma", "fpa", "ma", "oracle")
+COMPARE_SCHEMES = ("gma", "fpa", "ma")
+SWEEP_SCHEMES = ("gma", "fpa")
+REGION_MULTIPLES = (1, 2, 4, 8)
+ELEMENT_COUNTS = (32, 64, 128)
 COMPACT_D_MAX_ELEMENTS = 32  # reference compact array for region sweeps
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@dataclass(frozen=True)
+class ExperimentSettings:
+    """A run's trial count, schemes and sweep axes. schemes None means the
+    command's own default, oracle_step None wavelength/1000."""
+
+    seeds: int = 1
+    schemes: tuple[str, ...] | None = None
+    region_multiples: tuple[float, ...] = REGION_MULTIPLES
+    element_counts: tuple[int, ...] = ELEMENT_COUNTS
+    oracle_step: float | None = None
+    ma_restarts: int = 0
+
+    def __post_init__(self):
+        for name, least in (("seeds", 1), ("ma_restarts", 0)):
+            value = _as_int(getattr(self, name), name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+            object.__setattr__(self, name, value)
+        step = self.oracle_step
+        if step is not None and not (_is_real(step) and step > 0):
+            raise ValueError(
+                f"oracle_step must be a finite number above 0, got {step!r}")
+        for name, ok, what in (
+                ("schemes", lambda v: v in SCHEMES, f"among {SCHEMES}"),
+                ("region_multiples", lambda v: _is_real(v) and v >= 0,
+                 "finite numbers of at least 0"),
+                ("element_counts", lambda v: type(v) is int, "integers")):
+            values = getattr(self, name)
+            if values is None and name == "schemes":
+                continue
+            if not isinstance(values, (list, tuple)) or not values:
+                shown = list(values) if isinstance(values, tuple) else values
+                raise ValueError(
+                    f"{name} must be a non-empty list, got {shown!r}")
+            for v in values:
+                if not ok(v):
+                    raise ValueError(f"{name} entries must be {what}, got {v!r}")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} lists a value twice: {list(values)}")
+            object.__setattr__(self, name, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -65,7 +111,7 @@ def landscape(scenario: Scenario,
     several (sum rate).
     """
     cfg = scenario.cfg
-    step = grid_step if grid_step is not None else cfg.wavelength / 16.0
+    step = GridSpec(grid_step).resolve_step(cfg.wavelength)
     y_grid = position_grid(cfg.y_min, cfg.y_max, step)
     eta_set = cfg.feasible_etas()
     if not eta_set:
@@ -114,18 +160,6 @@ class TrialRecord:
         return [str(v) for v in row]
 
 
-def _record(scenario: Scenario, scheme: str, y_star: float,
-            eta_star: int | None, metric: float, evals: int,
-            wall_ms: float, layout=None) -> TrialRecord:
-    cfg = scenario.cfg
-    y_span = cfg.y_max - cfg.y_min
-    return TrialRecord(
-        seed=scenario.trial, scheme=scheme, K=scenario.K, M=cfg.M, N=cfg.N,
-        Y_over_D=y_span / cfg.physical_aperture, eta_max=cfg.eta_max,
-        y_star=y_star, eta_star=eta_star, metric=metric, evals=evals,
-        wall_ms=wall_ms, layout=layout)
-
-
 def reevaluate_record(record: TrialRecord, params: ScenarioParams) -> float:
     """Metric recomputed from the stored configuration and trial seed."""
     scenario = sample_scenario(params, record.seed)
@@ -149,17 +183,19 @@ def run_trial_schemes(scenario: Scenario, schemes,
     group-array solution's element positions when one was computed, which
     pins the ordering MA >= GMA >= FPA per trial.
     """
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    if single_user_sca and "gma" in schemes and scenario.K != 1:
+        raise ValueError("the SCA optimizer handles a single user")
     cfg, users, powers = scenario.cfg, scenario.users, scenario.powers
     records = []
     gma_solution = None
     for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
         t0 = time.perf_counter()
+        layout = None
         if scheme == "gma":
             if single_user_sca:
-                if scenario.K != 1:
-                    raise ValueError("the SCA optimizer handles a single user")
                 sol = optimize_single_user(users[0], settings, cfg,
                                            p_bar=float(powers.p_bar[0]))
                 # store the record metric through the shared evaluation
@@ -172,38 +208,33 @@ def run_trial_schemes(scenario: Scenario, schemes,
                                          lattice=lattice)
                 metric = sol.objective
             gma_solution = sol
-            wall = (time.perf_counter() - t0) * 1e3
-            records.append(_record(scenario, "gma", sol.y_star, sol.eta_star,
-                                   metric, sol.evals, wall))
+            y, eta, evals = sol.y_star, sol.eta_star, sol.evals
         elif scheme == "fpa":
-            metric = fpa_metric(users, powers, cfg)
-            wall = (time.perf_counter() - t0) * 1e3
-            records.append(_record(scenario, "fpa", cfg.y_min, 1, metric, 1, wall))
+            y, eta, metric, evals = cfg.y_min, 1, fpa_metric(users, powers, cfg), 1
         elif scheme == "ma":
             init = None
             if gma_solution is not None:
                 init = gma_element_positions(gma_solution.y_star,
                                              gma_solution.eta_star, cfg)
-            layout, metric, evals = ma_optimize(users, powers, cfg, grid,
-                                                settings, init=init,
-                                                restarts=ma_restarts)
-            wall = (time.perf_counter() - t0) * 1e3
-            records.append(_record(scenario, "ma", float(layout.positions[0]),
-                                   None, metric, evals, wall,
-                                   layout=tuple(layout.positions)))
-        elif scheme == "oracle":
+            ma, metric, evals = ma_optimize(users, powers, cfg, grid, settings,
+                                            init=init, restarts=ma_restarts)
+            y, eta, layout = float(ma.positions[0]), None, tuple(ma.positions)
+        else:  # oracle
             step = oracle_step if oracle_step is not None else cfg.wavelength / 1000.0
-            y_o, eta_o, _, evals = exhaustive_search(users, powers, cfg, step)
+            y, eta, _, evals = exhaustive_search(users, powers, cfg, step)
             # record through the shared kernel for bit-identical re-evaluation
-            metric = objective_metric(y_o, eta_o, users, powers, cfg)
-            wall = (time.perf_counter() - t0) * 1e3
-            records.append(_record(scenario, "oracle", y_o, eta_o, metric,
-                                   evals, wall))
+            metric = objective_metric(y, eta, users, powers, cfg)
+        wall = (time.perf_counter() - t0) * 1e3
+        records.append(TrialRecord(
+            seed=scenario.trial, scheme=scheme, K=scenario.K, M=cfg.M, N=cfg.N,
+            Y_over_D=(cfg.y_max - cfg.y_min) / cfg.physical_aperture,
+            eta_max=cfg.eta_max, y_star=y, eta_star=eta, metric=metric,
+            evals=evals, wall_ms=wall, layout=layout))
     return records
 
 
 def run_compare(params: ScenarioParams, settings: OptimizerSettings,
-                grid: GridSpec, trials: int, schemes=("gma", "fpa", "ma"),
+                grid: GridSpec, trials: int, schemes=COMPARE_SCHEMES,
                 oracle_step: float | None = None,
                 single_user_sca: bool = False,
                 ma_restarts: int = 0) -> list[TrialRecord]:
@@ -219,16 +250,18 @@ def run_compare(params: ScenarioParams, settings: OptimizerSettings,
 
 def run_sweep(params: ScenarioParams, settings: OptimizerSettings,
               grid: GridSpec, trials: int,
-              region_multiples=(1, 2, 4, 8),
-              element_counts=(32, 64, 128),
-              schemes=("gma", "fpa")) -> list[TrialRecord]:
+              region_multiples=REGION_MULTIPLES,
+              element_counts=ELEMENT_COUNTS,
+              schemes=SWEEP_SCHEMES, oracle_step: float | None = None,
+              ma_restarts: int = 0) -> list[TrialRecord]:
     """Sweep the movable-region size and the physical element count.
 
     Regions are multiples of the compact reference aperture (32-element
     array), anchored at zero, so the evaluated grids nest as the region
     grows. Each run also receives the solutions found for the next-smaller
     region and element count as injected candidates; together these make
-    the per-trial metric monotone along both sweep axes.
+    the per-trial metric monotone along both sweep axes. oracle_step and
+    ma_restarts reach every problem's run_trial_schemes.
 
     The problems of a trial share their users and powers, so one
     multiuser.scan per trial scores all their lattices, and each GMA run
@@ -260,7 +293,9 @@ def run_sweep(params: ScenarioParams, settings: OptimizerSettings,
             if m_idx > 0:
                 extra.append(solutions[(counts[m_idx - 1], mult)])
             recs = run_trial_schemes(scenario, schemes, settings, grid,
-                                     extra_candidates=extra, lattice=lattice)
+                                     oracle_step=oracle_step,
+                                     extra_candidates=extra,
+                                     ma_restarts=ma_restarts, lattice=lattice)
             for r in recs:
                 if r.scheme == "gma":
                     solutions[(m, mult)] = (r.y_star, r.eta_star)

@@ -15,9 +15,7 @@ generated in any order, or in parallel, without changing their content.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +43,6 @@ class ScenarioParams:
     center: tuple[float, float] = (100.0, 0.0)
     radius: float = 50.0
     paths_per_user: int = 5
-    r_range: tuple[float, float] = (0.0, 75.0)
     theta_range: tuple[float, float] = (-np.pi / 2, np.pi / 2)
     p_tx_dbm: float | tuple[float, ...] = 10.0
     n0_dbm_hz: float = -174.0
@@ -61,7 +58,7 @@ class ScenarioParams:
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         for name in ("f_carrier", "radius", "n0_dbm_hz", "bandwidth_hz"):
             _as_real(getattr(self, name), name)
-        for name in ("center", "r_range", "theta_range", "region"):
+        for name in ("center", "theta_range", "region"):
             if name != "region" or self.region is not None:
                 object.__setattr__(self, name, _as_pair(getattr(self, name), name))
         powers = self.p_tx_dbm
@@ -79,8 +76,6 @@ class ScenarioParams:
             raise ValueError(f"disk radius must be >= 0, got {self.radius}")
         if np.hypot(*self.center) <= self.radius:
             raise ValueError("user disk must not contain the array origin")
-        if not self.r_range[0] <= self.r_range[1] or self.r_range[0] < 0:
-            raise ValueError(f"bad scatterer range {self.r_range}")
         lo, hi = self.theta_range
         if not (-np.pi / 2 <= lo <= hi <= np.pi / 2):
             raise ValueError(f"bad angle range {self.theta_range}")
@@ -116,12 +111,6 @@ class ScenarioParams:
             p = np.full(self.K, p[0])
         return LinkPowers.from_dbm(p, self.n0_dbm_hz, self.bandwidth_hz)
 
-    def digest(self) -> str:
-        payload = asdict(self)
-        payload["p_tx_dbm"] = np.atleast_1d(payload["p_tx_dbm"]).tolist()
-        text = json.dumps(payload, sort_keys=True, default=float)
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -131,16 +120,13 @@ class Scenario:
     powers: LinkPowers
     cfg: ArrayConfig
     user_positions: np.ndarray
-    scatterer_r: np.ndarray
     seed: int
     trial: int
-    params_digest: str
 
     def __post_init__(self):
-        for name in ("user_positions", "scatterer_r"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        positions = np.asarray(self.user_positions, dtype=np.float64).copy()
+        positions.flags.writeable = False
+        object.__setattr__(self, "user_positions", positions)
 
     @property
     def K(self) -> int:
@@ -158,11 +144,12 @@ def sample_scenario(params: ScenarioParams, trial: int = 0) -> Scenario:
     """Draw one scenario realization.
 
     Per user, the draw order is fixed: disk position (radial quantile and
-    angle), scatterer distances, angles of arrival, and path phases. Users
-    are area-uniform over the disk via the square-root radial transform.
-    The draws depend only on K, paths_per_user, and the ranges, never on the
-    array configuration, so sweeps over M or the movable region reuse
-    identical geometry at a given (seed, trial).
+    angle), L unit-interval draws that no result reads (kept so that
+    stored seeds still reproduce their scenarios), angles of arrival, and
+    path phases. Users are area-uniform over the disk via the square-root
+    radial transform. The draws depend only on K, paths_per_user, and the
+    ranges, never on the array configuration, so sweeps over M or the
+    movable region reuse identical geometry at a given (seed, trial).
     """
     rng = trial_rng(params.seed, trial)
     lam = params.wavelength
@@ -170,13 +157,12 @@ def sample_scenario(params: ScenarioParams, trial: int = 0) -> Scenario:
     center = np.asarray(params.center, dtype=np.float64)
     users = []
     positions = np.empty((params.K, 2))
-    scatterer_r = np.empty((params.K, L))
     for k in range(params.K):
         radial = params.radius * np.sqrt(rng.uniform())
         azimuth = rng.uniform(0.0, 2.0 * np.pi)
         q_k = center + radial * np.array([np.cos(azimuth), np.sin(azimuth)])
         positions[k] = q_k
-        scatterer_r[k] = rng.uniform(params.r_range[0], params.r_range[1], L)
+        rng.random(L)
         aoas = rng.uniform(params.theta_range[0], params.theta_range[1], L)
         phases = rng.uniform(0.0, 2.0 * np.pi, L)
         r_user = float(np.hypot(*q_k))
@@ -185,5 +171,4 @@ def sample_scenario(params: ScenarioParams, trial: int = 0) -> Scenario:
         users.append(PathSet(gains=gains, aoas=aoas))
     return Scenario(users=tuple(users), powers=params.link_powers(),
                     cfg=params.array_config(), user_positions=positions,
-                    scatterer_r=scatterer_r, seed=params.seed, trial=trial,
-                    params_digest=params.digest())
+                    seed=params.seed, trial=trial)

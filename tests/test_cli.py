@@ -155,6 +155,10 @@ def test_git_sha_reads_loose_packed_and_detached_heads(tmp_path):
                  id="removed-warm_start"),
     pytest.param([], {"optimizer": {"multistart_grid_step": 0.001}},
                  "unknown optimizer keys", id="removed-multistart_grid_step"),
+    pytest.param([], {"scenario": {"r_range": [0.0, 75.0]}},
+                 "unknown scenario keys", id="removed-r_range"),
+    pytest.param([], {"grid": 5}, "grid must be a JSON object",
+                 id="grid-not-an-object"),
 ])
 def test_rejects_malformed_config_values(tmp_path, capsys, argv, config, named):
     out = tmp_path / "out.csv"
@@ -163,6 +167,30 @@ def test_rejects_malformed_config_values(tmp_path, capsys, argv, config, named):
                  "--scheme", "gma", "--out", str(out)] + argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, experiment, named", [
+    pytest.param("landscape", ["--seeds", "5"], {}, "seeds", id="landscape-seeds"),
+    pytest.param("landscape", ["--scheme", "ma"], {}, "schemes",
+                 id="landscape-scheme"),
+    pytest.param("landscape", [], {"oracle_step": 1e-3}, "oracle_step",
+                 id="landscape-oracle_step"),
+    pytest.param("compare", [], {"region_multiples": [1, 2]}, "region_multiples",
+                 id="compare-region_multiples"),
+    pytest.param("single-user", [], {"element_counts": [16]}, "element_counts",
+                 id="single-user-element_counts"),
+    pytest.param("multi-user", [], {"region_multiples": [2]}, "region_multiples",
+                 id="multi-user-region_multiples"),
+])
+def test_commands_reject_experiment_values_they_do_not_read(
+        tmp_path, capsys, command, flags, experiment, named):
+    out = tmp_path / "out.csv"
+    config = write_config(tmp_path, {"scenario": {"M": 16},
+                                     "experiment": experiment})
+    assert main([command, "--config", config, "--out", str(out)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and command in err and named in err
     assert not out.exists()
 
 
@@ -265,3 +293,39 @@ class TestCommands:
             (scheme, m) for m in ("16", "20") for _ in range(2)
             for scheme in ("gma", "fpa")]
         assert meta["trials"] == 1 and "(8 records)" in stdout
+
+    def test_sweep_runs_the_oracle_at_the_given_step(self, tmp_path, capsys):
+        step = 0.002
+        experiment = {"region_multiples": [0.25], "element_counts": [16],
+                      "schemes": ["gma", "oracle"], "oracle_step": step}
+        rows, _, _ = run_command(tmp_path, capsys, "sweep", experiment=experiment)
+        (oracle,) = [r for r in rows[1:] if r[1] == "oracle"]
+        region = [0.0, 0.25 * 31 * ScenarioParams().d]  # the x0.25 cell
+        cfg = scenario_cfg(dict(SMALL_SCENARIO, region=region))
+        ys = position_grid(cfg.y_min, cfg.y_max, step)
+        evals = int(oracle[CSV_COLUMNS.index("evals")])
+        assert evals == ys.size * len(cfg.feasible_etas())
+
+    @pytest.mark.parametrize("command, experiment, ran", [
+        pytest.param("compare", {"seeds": 2, "ma_restarts": 1},
+                     {"seeds": 2, "schemes": ["gma", "fpa", "ma"],
+                      "oracle_step": None, "ma_restarts": 1},
+                     id="compare-default-schemes"),
+        pytest.param("compare", {"schemes": ["fpa", "oracle"], "oracle_step": 0.002},
+                     {"seeds": 1, "schemes": ["fpa", "oracle"],
+                      "oracle_step": 0.002, "ma_restarts": 0},
+                     id="compare-oracle"),
+        pytest.param("sweep", {"region_multiples": [0.25, 0.5],
+                               "element_counts": [16]},
+                     {"seeds": 1, "schemes": ["gma", "fpa"],
+                      "region_multiples": [0.25, 0.5], "element_counts": [16],
+                      "oracle_step": None, "ma_restarts": 0},
+                     id="sweep-default-schemes"),
+    ])
+    def test_sidecar_records_the_experiment_values_that_ran(
+            self, tmp_path, capsys, command, experiment, ran):
+        rows, meta, _ = run_command(tmp_path, capsys, command,
+                                    experiment=experiment)
+        assert meta["experiment"] == ran
+        assert {r[1] for r in rows[1:]} == set(ran["schemes"])
+        assert meta["trials"] == ran["seeds"] == len({r[0] for r in rows[1:]})

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gma import experiments
 from gma.arrays import PathSet
 from gma.baselines import fpa_metric
 from gma.combining import LinkPowers, objective_metric
@@ -22,9 +23,7 @@ GRID = GridSpec()
 
 def scenario_with(users, powers, cfg):
     return Scenario(users=tuple(users), powers=powers, cfg=cfg,
-                    user_positions=np.zeros((len(users), 2)),
-                    scatterer_r=np.zeros((len(users), 1)),
-                    seed=0, trial=0, params_digest="test")
+                    user_positions=np.zeros((len(users), 2)), seed=0, trial=0)
 
 
 class TestLandscape:
@@ -143,6 +142,15 @@ class TestRunCompare:
         with pytest.raises(ValueError):
             run_compare(SMALL, SETTINGS, GRID, trials=1, schemes=("bogus",))
 
+    def test_unknown_scheme_raises_before_any_scheme_runs(self, monkeypatch):
+        calls, real = [], experiments.optimize_multiuser
+        monkeypatch.setattr(experiments, "optimize_multiuser",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        with pytest.raises(ValueError, match="bogus"):
+            run_trial_schemes(sample_scenario(SMALL), ("gma", "bogus"),
+                              SETTINGS, GRID)
+        assert calls == []
+
 
 class TestRunSweep:
     def test_per_trial_monotonicity_both_axes(self):
@@ -181,6 +189,28 @@ class TestRunSweep:
         swept = run_sweep(params, SETTINGS, GRID, trials=2)
         assert ([replace(r, wall_ms=0.0) for r in swept]
                 == [replace(r, wall_ms=0.0) for r in alone])
+
+    def test_passes_oracle_step_and_ma_restarts_to_every_problem(
+            self, monkeypatch):
+        seen = []
+        real_search, real_ma = experiments.exhaustive_search, experiments.ma_optimize
+
+        def search(users, powers, cfg, step):
+            seen.append(("oracle", step))
+            return real_search(users, powers, cfg, step)
+
+        def ma(*args, restarts, **kwargs):
+            seen.append(("ma", restarts))
+            return real_ma(*args, restarts=restarts, **kwargs)
+
+        monkeypatch.setattr(experiments, "exhaustive_search", search)
+        monkeypatch.setattr(experiments, "ma_optimize", ma)
+        params = ScenarioParams(K=2, M=16, paths_per_user=2, seed=2)
+        step = params.wavelength / 8
+        run_sweep(params, SETTINGS, GRID, trials=1, region_multiples=(1, 2),
+                  element_counts=(8,), schemes=("gma", "oracle", "ma"),
+                  oracle_step=step, ma_restarts=1)
+        assert seen == [("oracle", step), ("ma", 1)] * 2
 
     def test_gma_beats_fpa_in_every_cell(self):
         params = ScenarioParams(K=2, M=16, paths_per_user=2, seed=2)

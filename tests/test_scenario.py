@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ class TestScenarioParams:
         assert p.center == (100.0, 0.0)
         assert p.radius == 50.0
         assert p.paths_per_user == 5
-        assert p.r_range == (0.0, 75.0)
         assert p.theta_range == (-np.pi / 2, np.pi / 2)
         assert p.p_tx_dbm == 10.0
         assert p.n0_dbm_hz == -174.0
@@ -38,7 +38,6 @@ class TestScenarioParams:
         dict(paths_per_user=0),
         dict(radius=-1.0),
         dict(center=(10.0, 0.0), radius=20.0),  # disk covers the origin
-        dict(r_range=(5.0, 1.0)),
         dict(theta_range=(-2.0, 2.0)),
         dict(region=(1.0, 0.0)),
         dict(seed=-1),
@@ -48,13 +47,24 @@ class TestScenarioParams:
         with pytest.raises(ValueError):
             ScenarioParams(**kwargs)
 
-    def test_digest_is_stable_and_sensitive(self):
-        a, b = ScenarioParams(), ScenarioParams()
-        assert a.digest() == b.digest()
-        assert a.digest() != ScenarioParams(K=4).digest()
-
 
 class TestSampleScenario:
+    @pytest.mark.parametrize("seed, K, digest", [
+        (0, 1, "9da54476a048563d"), (0, 5, "108c0cbe0c7c1b6e"),
+        (5, 1, "745cbd1a862e5b8c"), (5, 5, "045ef7efb902dd3c"),
+        (11, 1, "e4557ae233af79b7"), (11, 5, "ff213c27cc4134e0"),
+    ])
+    def test_stream_is_pinned(self, seed, K, digest):
+        # every stored seed must keep drawing the scenario its CSVs came from
+        h = hashlib.sha256()
+        for trial in range(3):
+            scn = sample_scenario(ScenarioParams(seed=seed, K=K), trial)
+            for user in scn.users:
+                h.update(user.gains.tobytes())
+                h.update(user.aoas.tobytes())
+            h.update(scn.powers.p_bar.tobytes())
+        assert h.hexdigest()[:16] == digest
+
     def test_reproducible_bit_exactly(self):
         p = ScenarioParams(K=3, M=16, region=(0.0, 0.1))
         a = sample_scenario(p, trial=4)
@@ -63,7 +73,6 @@ class TestSampleScenario:
         for ua, ub in zip(a.users, b.users):
             assert np.array_equal(ua.gains, ub.gains)
             assert np.array_equal(ua.aoas, ub.aoas)
-        assert a.params_digest == b.params_digest
 
     def test_trials_differ(self):
         p = ScenarioParams(K=3)
@@ -125,11 +134,6 @@ class TestSampleScenario:
             for t in range(1000)])
         mean_sq = np.mean(np.sum(offsets ** 2, axis=1))
         np.testing.assert_allclose(mean_sq, 50.0 ** 2 / 2, rtol=0.05)
-
-    def test_scatterer_radii_within_range(self):
-        scn = sample_scenario(ScenarioParams(), trial=2)
-        assert np.all(scn.scatterer_r >= 0.0)
-        assert np.all(scn.scatterer_r <= 75.0)
 
     def test_scenario_arrays_read_only(self):
         scn = sample_scenario(ScenarioParams(K=2), trial=0)
