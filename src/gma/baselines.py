@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayConfig
-from .combining import LinkPowers, batch_objective, objective_metric
+from .combining import LinkPowers, PointScores, batch_objective
 from .multiuser import scan
 from .optim import GridSpec, OptimizerSettings, position_grid
 from .sca import snr_scan
@@ -26,9 +26,14 @@ from .sca import snr_scan
 _GAP_TOL = 1e-9
 
 
-def fpa_metric(users, powers: LinkPowers, cfg: ArrayConfig) -> float:
-    """Metric of the compact array fixed at the bottom of the region."""
-    return objective_metric(cfg.y_min, 1, users, powers, cfg)
+def fpa_metric(users, powers: LinkPowers, cfg: ArrayConfig,
+               scores: PointScores | None = None) -> float:
+    """Metric of the compact array fixed at the bottom of the region.
+
+    scores is the trial's memo of these users' values, as optimize_multiuser
+    takes it.
+    """
+    return PointScores.over(users, powers, scores).point(cfg.y_min, 1, cfg)
 
 
 def ma_span(cfg: ArrayConfig) -> tuple[float, float]:

@@ -416,3 +416,87 @@ def objective_metric(y: float, eta: int, users, powers: LinkPowers,
     y = cfg.validate_position(y, eta)
     H = channel_stack(np.array([y]), eta, users, cfg)
     return float(batch_objective(H, powers)[0])
+
+
+class PointScores:
+    """One trial's memo of (y, eta) values, for the scores made after a scan.
+
+    It holds the values of one set of users and powers, and serves the
+    configurations that share N, the wavelength and y_min (a ValueError
+    otherwise), on which a value depends. Every lookup checks its points
+    against the asking configuration, as objective_metric does, and scores
+    only the points the memo has not seen, through metric_profiles or
+    objective_metric. A (y, eta) value does not depend on its batch, so
+    each value returned is objective_metric's at that point. Make one per
+    trial: nothing in it outlives the searches it serves.
+    """
+
+    def __init__(self, users, powers: LinkPowers):
+        self.users, self.powers = users, powers
+        self._owner = _paths_key(users, powers)
+        self._lattice = None  # (N, wavelength, y_min) of the configurations served
+        self._levels = {}  # eta -> {y: value}
+
+    @classmethod
+    def over(cls, users, powers: LinkPowers, scores=None) -> "PointScores":
+        """scores, checked to hold these users' and powers' values; a new
+        memo when scores is None."""
+        if scores is None:
+            return cls(users, powers)
+        if scores._owner != _paths_key(users, powers):
+            raise ValueError("the point scores hold other users or powers")
+        return scores
+
+    def point(self, y: float, eta: int, cfg: ArrayConfig) -> float:
+        """The value at (y, eta), validated as objective_metric validates it."""
+        self._serve(cfg)
+        eta = cfg.validate_eta(eta)
+        y = cfg.validate_position(y, eta)
+        level = self._levels.setdefault(eta, {})
+        if y not in level:
+            level[y] = objective_metric(y, eta, self.users, self.powers, cfg)
+        return level[y]
+
+    def profiles(self, y_values, etas, cfg: ArrayConfig) -> np.ndarray:
+        """Values over etas x y_values, shape (len(etas), len(y_values)).
+
+        etas are integers. Every point must lie in its level's position
+        bounds, the check of validate_position (position_bounds runs
+        validate_eta). The missing points go to one metric_profiles call
+        over the positions and levels that miss one; with one level or one
+        position, as the refinement windows and sparsity searches ask, those
+        are exactly the missing points.
+        """
+        self._serve(cfg)
+        ys = np.asarray(y_values, dtype=np.float64).tolist()
+        etas = list(etas)
+        for eta in etas:
+            lo, hi = cfg.position_bounds(eta)
+            for y in ys:
+                if not lo <= y <= hi:
+                    cfg.validate_position(y, eta)  # raises with its message
+        levels = [self._levels.setdefault(eta, {}) for eta in etas]
+        wanted = set(ys)
+        todo = [i for i, level in enumerate(levels) if not wanted <= level.keys()]
+        if todo:
+            new = [y for y in dict.fromkeys(ys) if any(y not in levels[i] for i in todo)]
+            for i, (_, vals) in zip(todo, metric_profiles(
+                    np.array(new), [etas[i] for i in todo], self.users,
+                    self.powers, cfg)):
+                levels[i].update(zip(new, vals.tolist()))
+        values = np.fromiter((level[y] for level in levels for y in ys),
+                             np.float64, len(levels) * len(ys))
+        return values.reshape(len(levels), len(ys))
+
+    def _serve(self, cfg: ArrayConfig) -> None:
+        lattice = (cfg.N, cfg.wavelength, cfg.y_min)
+        if self._lattice is None:
+            self._lattice = lattice
+        elif lattice != self._lattice:
+            raise ValueError("configurations must share N, the wavelength and y_min")
+
+
+def _paths_key(users, powers: LinkPowers):
+    """The bits of the users' paths and the powers."""
+    return (tuple(u.gains.tobytes() + u.aoas.tobytes() for u in users),
+            powers.p_bar.tobytes())

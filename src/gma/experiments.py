@@ -24,7 +24,7 @@ from . import __version__
 from .arrays import ArrayConfig, _as_int, _is_real
 from .baselines import (exhaustive_search, fpa_metric, gma_element_positions,
                         layout_metric, ma_optimize)
-from .combining import metric_profiles, objective_metric
+from .combining import PointScores, metric_profiles, objective_metric
 from .multiuser import optimize_multiuser, scan
 from .optim import GridSpec, OptimizerSettings, position_grid
 from .scenario import (PATH_GAIN_MODEL, RNG_SCHEME, Scenario, ScenarioParams,
@@ -136,7 +136,14 @@ def landscape(scenario: Scenario,
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One scheme's result on one trial; layout is kept for MA re-evaluation."""
+    """One scheme's result on one trial; layout is kept for MA re-evaluation.
+
+    seed holds the trial index (Scenario.trial), which the CSV writes in its
+    seed column; the master seed is Scenario.seed, recorded in the sidecar.
+    wall_ms times the scheme's own work. On a sweep row it leaves out the
+    trial's shared lattice scan and the points that an earlier problem of
+    the same trial scored into the memo (see run_sweep).
+    """
 
     seed: int
     scheme: str
@@ -175,13 +182,16 @@ def run_trial_schemes(scenario: Scenario, schemes,
                       oracle_step: float | None = None,
                       single_user_sca: bool = False,
                       extra_candidates=(), ma_restarts: int = 0,
-                      lattice=None) -> list[TrialRecord]:
+                      lattice=None,
+                      scores: PointScores | None = None) -> list[TrialRecord]:
     """Run the requested schemes on one scenario.
 
     lattice, when given, is the multi-user GMA's scan result for this
-    scenario (see optimize_multiuser). The MA benchmark warm-starts from the
-    group-array solution's element positions when one was computed, which
-    pins the ordering MA >= GMA >= FPA per trial.
+    scenario (see optimize_multiuser). scores is the trial's memo of the
+    scenario's (y, eta) values, which the multi-user GMA and FPA read; None
+    makes one for this call, dropped when it returns. The MA benchmark
+    warm-starts from the group-array solution's element positions when one
+    was computed, which pins the ordering MA >= GMA >= FPA per trial.
     """
     for scheme in schemes:
         if scheme not in SCHEMES:
@@ -189,6 +199,7 @@ def run_trial_schemes(scenario: Scenario, schemes,
     if single_user_sca and "gma" in schemes and scenario.K != 1:
         raise ValueError("the SCA optimizer handles a single user")
     cfg, users, powers = scenario.cfg, scenario.users, scenario.powers
+    scores = PointScores.over(users, powers, scores)
     records = []
     gma_solution = None
     for scheme in schemes:
@@ -205,12 +216,13 @@ def run_trial_schemes(scenario: Scenario, schemes,
             else:
                 sol = optimize_multiuser(users, powers, cfg, grid, settings,
                                          extra_candidates=extra_candidates,
-                                         lattice=lattice)
+                                         lattice=lattice, scores=scores)
                 metric = sol.objective
             gma_solution = sol
             y, eta, evals = sol.y_star, sol.eta_star, sol.evals
         elif scheme == "fpa":
-            y, eta, metric, evals = cfg.y_min, 1, fpa_metric(users, powers, cfg), 1
+            y, eta, evals = cfg.y_min, 1, 1
+            metric = fpa_metric(users, powers, cfg, scores)
         elif scheme == "ma":
             init = None
             if gma_solution is not None:
@@ -267,7 +279,11 @@ def run_sweep(params: ScenarioParams, settings: OptimizerSettings,
     multiuser.scan per trial scores all their lattices, and each GMA run
     starts from its share. A grid that is not a prefix of the longest grid
     of its level, as when position_grid clamped or appended its end, is
-    scored on its own.
+    scored on its own. After the scan, the trial's problems share one
+    combining.PointScores memo, so a (y, eta) point is scored once per
+    trial; it is dropped when the trial ends. A row's wall_ms therefore
+    leaves out both the shared scan and the points an earlier problem of
+    the trial scored, while its evals still counts every point it compared.
     """
     d = params.d
     d_max = (COMPACT_D_MAX_ELEMENTS - 1) * d
@@ -280,11 +296,12 @@ def run_sweep(params: ScenarioParams, settings: OptimizerSettings,
             replace(params, M=m, region=(0.0, mult * d_max)), t))
             for m in counts for mult in multiples]
         lattices = [None] * len(cells)
+        first = cells[0][2]
         if "gma" in schemes:
-            first = cells[0][2]
             lattices = scan([(sc.cfg.feasible_etas(), sc.cfg) for *_, sc in cells],
                             grid.resolve_step(params.wavelength), first.users,
                             first.powers)
+        scores = PointScores(first.users, first.powers)
         for (m, mult, scenario), lattice in zip(cells, lattices):
             extra = []
             m_idx, r_idx = counts.index(m), multiples.index(mult)
@@ -295,7 +312,8 @@ def run_sweep(params: ScenarioParams, settings: OptimizerSettings,
             recs = run_trial_schemes(scenario, schemes, settings, grid,
                                      oracle_step=oracle_step,
                                      extra_candidates=extra,
-                                     ma_restarts=ma_restarts, lattice=lattice)
+                                     ma_restarts=ma_restarts, lattice=lattice,
+                                     scores=scores)
             for r in recs:
                 if r.scheme == "gma":
                     solutions[(m, mult)] = (r.y_star, r.eta_star)
@@ -340,6 +358,7 @@ def run_metadata(params: ScenarioParams, settings: OptimizerSettings,
             "Y_over_D_definition": "(y_max - y_min) / ((M-1)*d)",
             "metric_units": "linear SNR for K=1, bits/s/Hz otherwise",
             "csv_determinism": "all columns reproducible except wall_ms",
+            "csv_seed_column": "trial index; the master seed is scenario.seed",
         },
     }
     if extra:

@@ -13,7 +13,10 @@ nested grids) or raising eta_max can only enlarge the evaluated set. The
 compact configuration (eta = 1 at the bottom of the region) is part of
 every base grid, so the result never falls below the fixed-array baseline.
 A (y, eta) value does not depend on its batch, so every value the search
-compares is the one objective_metric gives at that point.
+compares is the one objective_metric gives at that point. After the scan,
+every point is scored through a combining.PointScores memo, so a search
+that returns to a point, or a later search of the same trial, reads it
+there instead of scoring it again.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arrays import ArrayConfig
-from .combining import LinkPowers, metric_profiles, objective_metric
+from .combining import LinkPowers, PointScores, metric_profiles
 from .optim import GmaSolution, GridSpec, OptimizerSettings, position_grid
 
 
@@ -87,34 +90,44 @@ def grid_position_search(eta: int, users, powers: LinkPowers, cfg: ArrayConfig,
         raise ValueError(f"no admissible position at sparsity {eta}")
     step = grid.resolve_step(cfg.wavelength)
     val, y, _, _ = scan([([eta], cfg)], step, users, powers)[0]
-    y, val, _ = _refine_position(y, val, eta, step, users, powers, cfg, grid)
+    y, val, _ = _refine_position(y, val, eta, step, PointScores(users, powers),
+                                 cfg, grid)
     return y, val
 
 
-def sparsity_search(y: float, users, powers: LinkPowers,
-                    cfg: ArrayConfig) -> tuple[int, float]:
-    """Best sparsity level at a fixed position; ties go to the smaller eta."""
+def sparsity_search(y: float, users, powers: LinkPowers, cfg: ArrayConfig,
+                    scores: PointScores | None = None) -> tuple[int, float]:
+    """Best sparsity level at a fixed position; ties go to the smaller eta.
+
+    scores is the trial's memo of these users' values (see optimize_multiuser).
+    """
     etas = cfg.feasible_etas(y)
     if not etas:
         raise ValueError(f"no feasible sparsity level at y = {y}")
+    scores = PointScores.over(users, powers, scores)
     best_eta, best_val = etas[0], -np.inf
-    for eta, vals in metric_profiles([y], etas, users, powers, cfg):
-        if vals[0] > best_val:
-            best_eta, best_val = eta, float(vals[0])
+    for eta, val in zip(etas, scores.profiles([y], etas, cfg)[:, 0].tolist()):
+        if val > best_val:
+            best_eta, best_val = eta, val
     return best_eta, best_val
 
 
 def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
                        grid: GridSpec = GridSpec(),
                        settings: OptimizerSettings = OptimizerSettings(),
-                       extra_candidates=(), lattice=None) -> GmaSolution:
+                       extra_candidates=(), lattice=None,
+                       scores: PointScores | None = None) -> GmaSolution:
     """Alternating position / sparsity search for the best (y, eta).
 
     extra_candidates are (y, eta) pairs injected into the evaluated set,
     e.g. the solution of a run over a smaller region so that sweeps over
     growing domains are monotone even at refined resolution. lattice is
     this configuration's scan result over its feasible levels, as run_sweep
-    scores several configurations at once; None scans here.
+    scores several configurations at once; None scans here. scores is the
+    trial's memo of these users' values, which every score after the scan
+    reads (the refinement windows, the sparsity searches and the injected
+    candidates); None starts one here. evals counts the points compared,
+    memo hits included.
 
     A (y, eta) value does not depend on its batch, so the objective is at
     least the fixed-array baseline and every injected candidate, exactly.
@@ -125,11 +138,12 @@ def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
     if not feas:
         raise ValueError("movable region admits no feasible sparsity level")
     step = grid.resolve_step(cfg.wavelength)
+    scores = PointScores.over(users, powers, scores)
     if lattice is None:
         lattice = scan([(feas, cfg)], step, users, powers)[0]
     best_val, best_y, best_eta, evals = lattice
     for y_c, eta_c in extra_candidates:
-        val = objective_metric(y_c, eta_c, users, powers, cfg)
+        val = scores.point(y_c, eta_c, cfg)
         evals += 1
         if val > best_val:
             best_val, best_y, best_eta = val, y_c, eta_c
@@ -140,11 +154,11 @@ def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
     rounds = 0
     for _ in range(settings.max_alt_iters):
         rounds += 1
-        y2, v2, ev = _refine_position(y, cur, eta, step, users, powers, cfg, grid)
+        y2, v2, ev = _refine_position(y, cur, eta, step, scores, cfg, grid)
         evals += ev
         if v2 > best_val:
             best_val, best_y, best_eta = v2, y2, eta
-        eta3, v3 = sparsity_search(y2, users, powers, cfg)
+        eta3, v3 = sparsity_search(y2, users, powers, cfg, scores)
         evals += len(cfg.feasible_etas(y2))
         if v3 > best_val:
             best_val, best_y, best_eta = v3, y2, eta3
@@ -157,8 +171,8 @@ def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
                        trace=tuple(trace), evals=evals, rounds=rounds)
 
 
-def _refine_position(y: float, val: float, eta: int, base_step: float, users,
-                     powers: LinkPowers, cfg: ArrayConfig,
+def _refine_position(y: float, val: float, eta: int, base_step: float,
+                     scores: PointScores, cfg: ArrayConfig,
                      grid: GridSpec) -> tuple[float, float, int]:
     """Shrinking-window local scans around the incumbent position.
 
@@ -170,7 +184,7 @@ def _refine_position(y: float, val: float, eta: int, base_step: float, users,
     for _ in range(grid.refine_levels):
         fine = step / grid.refine_factor
         pts = position_grid(max(lo, y - step), min(hi, y + step), fine)
-        _, vals = next(iter(metric_profiles(pts, [eta], users, powers, cfg)))
+        vals = scores.profiles(pts, [eta], cfg)[0]
         evals += pts.size
         i = int(np.argmax(vals))
         if vals[i] > val:

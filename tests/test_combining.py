@@ -6,9 +6,9 @@ from hypothesis import assume, given, strategies as st
 
 from gma import arrays, combining
 from gma.arrays import LATTICE_STEPS, ArrayConfig, PathSet, lattice_index
-from gma.combining import (LinkPowers, batch_objective, batch_sinr,
-                           batch_sum_rate, channel_stack, metric_profiles,
-                           noise_power_dbm, objective_metric)
+from gma.combining import (LinkPowers, PointScores, batch_objective,
+                           batch_sinr, batch_sum_rate, channel_stack,
+                           metric_profiles, noise_power_dbm, objective_metric)
 from gma.multiuser import scan
 from gma.optim import position_grid
 from gma.scenario import ScenarioParams, sample_scenario
@@ -485,3 +485,142 @@ class TestLagRows:
         # chunk boundary leaves at most e = 8*eta rows of a level, at either
         # end of the level
         assert by_rows <= sum(2 * 8 * eta for eta in etas)
+
+
+class TestPointScores:
+    @given(seed=st.integers(0, 10 ** 6), K=st.sampled_from([1, 3]),
+           cells=st.lists(st.tuples(st.sampled_from([8, 16, 32]), st.integers(1, 8),
+                                    st.booleans()),
+                          min_size=1, max_size=4),
+           calls=st.lists(st.tuples(st.integers(0, 3),
+                                    st.sampled_from(["window", "levels", "point"])),
+                          min_size=1, max_size=12))
+    def test_every_value_is_the_asking_configurations(self, seed, K, cells, calls):
+        # configurations on one anchor with random M, region and
+        # confine_aperture ask interleaved lookups of one memo; positions come
+        # from a shared set (a d/8 grid and a few off-lattice points), so
+        # later lookups hit points that others stored
+        rng = np.random.default_rng(seed)
+        y_min, d = float(rng.uniform(0.0, 0.1)), WAVELENGTH / 2
+        cfgs = [ArrayConfig(M=M, N=4, wavelength=WAVELENGTH, y_min=y_min,
+                            y_max=y_min + mult * 4 * d, confine_aperture=confine)
+                for M, mult, confine in cells]
+        users = [random_paths(rng, L=3) for _ in range(K)]
+        powers = LinkPowers(p_bar=rng.uniform(0.5, 4.0, K))
+        shared = np.sort(np.append(position_grid(y_min, y_min + 32 * d, d / 8),
+                                   rng.uniform(y_min, y_min + 32 * d, 6)))
+        scores = PointScores(users, powers)
+        for c, kind in calls:
+            cfg = cfgs[c % len(cfgs)]
+            if kind == "levels":
+                ys = shared[shared <= cfg.y_max]
+                y = float(ys[rng.integers(ys.size)])
+                etas = cfg.feasible_etas(y)
+                if not etas:
+                    continue
+                got = scores.profiles([y], etas, cfg)
+                assert got.shape == (len(etas), 1)
+                for eta, v in zip(etas, got[:, 0]):
+                    assert v == objective_metric(y, eta, users, powers, cfg)
+                continue
+            eta = int(rng.choice(cfg.feasible_etas()))
+            lo, hi = cfg.position_bounds(eta)
+            ys = shared[(shared >= lo) & (shared <= hi)]
+            if kind == "point" or ys.size < 2:
+                y = float(ys[rng.integers(ys.size)]) if ys.size else lo
+                assert scores.point(y, eta, cfg) == objective_metric(
+                    y, eta, users, powers, cfg)
+                continue
+            a, b = sorted(rng.choice(ys.size, 2, replace=False))
+            window = ys[a:b + 1]
+            got = scores.profiles(window, [eta], cfg)
+            assert got.shape == (1, window.size)
+            for y, v in zip(window, got[0]):
+                assert v == objective_metric(y, eta, users, powers, cfg)
+
+    def test_serves_one_lattice_only(self):
+        users = [PathSet(gains=[1.0], aoas=[0.3]), PathSet(gains=[0.5], aoas=[-0.2])]
+        powers = LinkPowers(p_bar=np.array([1.0, 2.0]))
+        base = make_cfg(M=16, N=4)
+        for other in (make_cfg(M=16, N=3), make_cfg(M=16, N=4, y_min=1e-3),
+                      ArrayConfig(M=16, N=4, wavelength=2 * WAVELENGTH,
+                                  y_min=0.0, y_max=base.y_max)):
+            scores = PointScores(users, powers)
+            scores.point(base.y_min, 1, base)
+            with pytest.raises(ValueError, match="must share"):
+                scores.point(other.y_min, 1, other)
+            with pytest.raises(ValueError, match="must share"):
+                scores.profiles([other.y_min], [1], other)
+        # a larger M or region on the same lattice is served
+        scores.point(base.y_min, 1, make_cfg(M=32, N=4, span_wavelengths=40.0))
+
+    def test_refuses_what_the_asking_configuration_refuses(self):
+        users = [random_paths(np.random.default_rng(3), L=2) for _ in range(2)]
+        powers = LinkPowers(p_bar=np.array([1.0, 2.0]))
+        large = make_cfg(M=32, N=4, span_wavelengths=16.0, confine_aperture=True)
+        small = make_cfg(M=16, N=4, span_wavelengths=4.0, confine_aperture=True)
+        scores = PointScores(users, powers)
+        # stored under the large region: beyond the small one's y_max, and
+        # inside it at a level whose aperture no longer fits
+        y_far = small.y_max + WAVELENGTH / 8
+        eta = 2
+        y_top = small.position_bounds(eta)[1] + WAVELENGTH / 16
+        for y, e in ((y_far, 1), (y_top, eta)):
+            scores.point(y, e, large)
+            scores.profiles([small.y_min, y], [e], large)
+            with pytest.raises(ValueError) as today:
+                objective_metric(y, e, users, powers, small)
+            with pytest.raises(ValueError, match="outside movable region") as memo:
+                scores.point(y, e, small)
+            assert str(memo.value) == str(today.value)
+            with pytest.raises(ValueError) as memo:
+                scores.profiles([small.y_min, y], [e], small)
+            assert str(memo.value) == str(today.value)
+        # a level above the small array's eta_max
+        scores.point(large.y_min, small.eta_max + 1, large)
+        with pytest.raises(ValueError, match="sparsity level"):
+            scores.point(large.y_min, small.eta_max + 1, small)
+        with pytest.raises(ValueError, match="sparsity level"):
+            scores.profiles([large.y_min], [small.eta_max + 1], small)
+
+    def test_holds_one_set_of_users_and_powers(self):
+        rng = np.random.default_rng(4)
+        users = [random_paths(rng, L=2) for _ in range(2)]
+        powers = LinkPowers(p_bar=np.array([1.0, 2.0]))
+        scores = PointScores(users, powers)
+        copies = [PathSet(gains=u.gains.copy(), aoas=u.aoas.copy()) for u in users]
+        assert PointScores.over(copies, LinkPowers(p_bar=[1.0, 2.0]), scores) is scores
+        assert PointScores.over(users, powers) is not scores
+        for others in ((users[::-1], powers),
+                       (users, LinkPowers(p_bar=np.array([1.0, 3.0])))):
+            with pytest.raises(ValueError, match="other users or powers"):
+                PointScores.over(*others, scores)
+
+    def test_scores_each_point_once(self, cfg_small, monkeypatch):
+        users = [random_paths(np.random.default_rng(6), L=3) for _ in range(3)]
+        powers = LinkPowers(p_bar=np.array([1.0, 2.0, 0.5]))
+        rows, points = [], []
+
+        def counted(y_values, etas, *args):
+            for eta, vals in metric_profiles(y_values, etas, *args):
+                rows.append((eta, np.asarray(y_values).tolist()))
+                yield eta, vals
+
+        monkeypatch.setattr(combining, "metric_profiles", counted)
+        monkeypatch.setattr(combining, "objective_metric",
+                            lambda *a: points.append(a[:2]) or objective_metric(*a))
+        scores = PointScores(users, powers)
+        ys = position_grid(0.0, 0.002, WAVELENGTH / 64)
+        first = scores.profiles(ys[:5], [2], cfg_small)
+        again = scores.profiles(ys[2:8], [2], cfg_small)
+        assert rows == [(2, ys[:5].tolist()), (2, ys[5:8].tolist())]
+        assert again[0, :3].tolist() == first[0, 2:].tolist()
+        rows.clear()
+        scores.profiles([ys[3]], [1, 2, 3], cfg_small)
+        assert rows == [(1, [ys[3]]), (3, [ys[3]])]
+        scores.point(ys[3], 3, cfg_small)
+        scores.point(ys[4], 2, cfg_small)
+        assert points == []  # both were stored by profiles
+        scores.point(ys[9], 1, cfg_small)
+        scores.point(ys[9], 1, cfg_small)
+        assert points == [(float(ys[9]), 1)]

@@ -5,14 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gma import experiments
+from gma import combining, experiments
 from gma.arrays import PathSet
 from gma.baselines import fpa_metric
-from gma.combining import LinkPowers, objective_metric
+from gma.combining import LinkPowers, PointScores, objective_metric
 from gma.experiments import (CSV_COLUMNS, landscape, reevaluate_record,
                              run_compare, run_metadata, run_sweep,
                              run_trial_schemes, write_metadata,
                              write_records_csv)
+from gma.multiuser import scan
 from gma.optim import GridSpec, OptimizerSettings, position_grid
 from gma.scenario import Scenario, ScenarioParams, sample_scenario
 
@@ -138,6 +139,27 @@ class TestRunCompare:
             assert rec.K == 1
             assert reevaluate_record(rec, params) == rec.metric
 
+    def test_no_memo_outlives_its_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(combining, "objective_metric",
+                            lambda *a: calls.append(a[:2]) or objective_metric(*a))
+        scenario = sample_scenario(SMALL)
+        first = run_trial_schemes(scenario, ("fpa",), SETTINGS, GRID)
+        second = run_trial_schemes(scenario, ("fpa",), SETTINGS, GRID)
+        assert calls == [(scenario.cfg.y_min, 1)] * 2
+        assert first == [replace(second[0], wall_ms=first[0].wall_ms)]
+        # one memo handed to both calls scores the point once
+        scores = PointScores(scenario.users, scenario.powers)
+        for _ in range(2):
+            run_trial_schemes(scenario, ("fpa",), SETTINGS, GRID, scores=scores)
+        assert len(calls) == 3
+
+    def test_rejects_a_memo_of_other_users(self):
+        scenario, other = sample_scenario(SMALL, 0), sample_scenario(SMALL, 1)
+        with pytest.raises(ValueError, match="other users"):
+            run_trial_schemes(scenario, ("gma", "fpa"), SETTINGS, GRID,
+                              scores=PointScores(other.users, other.powers))
+
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             run_compare(SMALL, SETTINGS, GRID, trials=1, schemes=("bogus",))
@@ -187,6 +209,30 @@ class TestRunSweep:
                     solutions[(m, mult)] = (recs[0].y_star, recs[0].eta_star)
                     alone.extend(recs)
         swept = run_sweep(params, SETTINGS, GRID, trials=2)
+        assert ([replace(r, wall_ms=0.0) for r in swept]
+                == [replace(r, wall_ms=0.0) for r in alone])
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_records_equal_each_problem_with_its_own_memo(self, seed):
+        # the shared lattice as run_sweep scans it, but a fresh memo per
+        # problem: the memo's hits across problems change no record
+        params = ScenarioParams(seed=seed)
+        d_max, counts, multiples = 31 * params.d, (32, 64, 128), (1, 2, 4, 8)
+        cells = [sample_scenario(replace(params, M=m, region=(0.0, mult * d_max)), 0)
+                 for m in counts for mult in multiples]
+        lattices = scan([(sc.cfg.feasible_etas(), sc.cfg) for sc in cells],
+                        GRID.resolve_step(params.wavelength), cells[0].users,
+                        cells[0].powers)
+        alone, solutions = [], {}
+        for i, (scenario, lattice) in enumerate(zip(cells, lattices)):
+            m, mult = counts[i // 4], multiples[i % 4]
+            extra = [solutions[key] for key in ((m, mult // 2), (m // 2, mult))
+                     if key in solutions]
+            recs = run_trial_schemes(scenario, ("gma", "fpa"), SETTINGS, GRID,
+                                     extra_candidates=extra, lattice=lattice)
+            solutions[(m, mult)] = (recs[0].y_star, recs[0].eta_star)
+            alone.extend(recs)
+        swept = run_sweep(params, SETTINGS, GRID, trials=1)
         assert ([replace(r, wall_ms=0.0) for r in swept]
                 == [replace(r, wall_ms=0.0) for r in alone])
 
@@ -257,3 +303,11 @@ class TestCsvOutput:
         assert "path_gain_model" in meta["decisions"]
         assert "created_utc" in meta
         assert meta["scenario"]["K"] == 2
+
+    def test_sidecar_says_the_seed_column_holds_the_trial_index(self, tmp_path):
+        records = run_compare(SMALL, SETTINGS, GRID, trials=2, schemes=("fpa",))
+        assert [r.seed for r in records] == [0, 1]
+        meta = run_metadata(SMALL, SETTINGS, GRID)
+        assert meta["scenario"]["seed"] == SMALL.seed == 3
+        assert meta["decisions"]["csv_seed_column"] == (
+            "trial index; the master seed is scenario.seed")

@@ -230,20 +230,44 @@ class TestOptimizeMultiuser:
 
     def test_evals_count_every_scored_point(self, monkeypatch):
         # with confine_aperture a sparsity search scores only the levels whose
-        # interval holds its y: here 7 of the 10 feasible ones
+        # interval holds its y: here 7 of the 10 feasible ones. evals counts
+        # the points compared: the scan's, and every lookup in the trial's
+        # memo, hits included; the memo scores only the points it misses.
         scenario = sample_scenario(
             ScenarioParams(K=3, M=32, confine_aperture=True, seed=5), 5)
-        scored = []
+        scanned, compared, scored = [], [], []
 
         def counted(y_values, etas, *args):
+            for eta, vals in metric_profiles(y_values, etas, *args):
+                scanned.append(vals.size)
+                yield eta, vals
+
+        def memo_scored(y_values, etas, *args):
             for eta, vals in metric_profiles(y_values, etas, *args):
                 scored.append(vals.size)
                 yield eta, vals
 
-        monkeypatch.setattr(multiuser, "metric_profiles", counted)
+        profiles, point = combining.PointScores.profiles, combining.PointScores.point
+
+        def looked_up(self, y_values, etas, cfg):
+            vals = profiles(self, y_values, etas, cfg)
+            compared.append(vals.size)
+            return vals
+
+        def looked_up_point(self, y, eta, cfg):
+            compared.append(1)
+            return point(self, y, eta, cfg)
+
+        monkeypatch.setattr(multiuser, "metric_profiles", counted)  # the scan
+        monkeypatch.setattr(combining, "metric_profiles", memo_scored)
+        monkeypatch.setattr(combining, "objective_metric",
+                            lambda *a: scored.append(1) or objective_metric(*a))
+        monkeypatch.setattr(combining.PointScores, "profiles", looked_up)
+        monkeypatch.setattr(combining.PointScores, "point", looked_up_point)
         sol = optimize_multiuser(scenario.users, scenario.powers, scenario.cfg)
         assert sol.rounds >= 1
-        assert sol.evals == sum(scored)
+        assert sol.evals == sum(scanned) + sum(compared)
+        assert 0 < sum(scored) < sum(compared)
 
     def test_rank_one_instance_matches_hand_formula(self, cfg_small):
         # every user rides the same single-path direction: the metric is
