@@ -52,9 +52,8 @@ class ArrayConfig:
         confine_aperture: if True, also require the top selected element to
             stay below y_max (y + (N-1)*eta*d <= y_max). The default follows
             the problem statement and constrains the reference element only.
-            position_bounds applies it, feasible_etas derives the admissible
-            levels from those bounds, and multiuser.scan gives each distinct
-            interval its own grid.
+            position_bounds applies it, the one reader of this flag;
+            feasible_etas and every search grid derive from those bounds.
     """
 
     M: int

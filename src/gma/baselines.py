@@ -20,7 +20,7 @@ import numpy as np
 from .arrays import ArrayConfig
 from .combining import LinkPowers, PointScores, batch_objective
 from .multiuser import scan
-from .optim import GridSpec, OptimizerSettings, position_grid
+from .optim import GridSpec, OptimizerSettings, position_grid, refine
 from .sca import snr_scan
 
 _GAP_TOL = 1e-9
@@ -160,25 +160,22 @@ def _coordinate_ascent(positions, users, powers, cfg, grid, settings,
 
 
 def _slot_scan(pos, n, lo_n, hi_n, step, val, users, powers, cfg, grid):
-    """Refined 1-D scan of antenna n's position; keeps the incumbent on ties.
+    """Antenna n's position: a scan of [lo_n, hi_n] at step, then
+    optim.refine's windows around the best; ties keep the incumbent.
 
     Returns (position, metric, layouts scored).
     """
-    best_p, best_v, evals = float(pos[n]), val, 0
-    window_lo, window_hi, scan_step = lo_n, hi_n, step
-    for level in range(grid.refine_levels + 1):
-        cand = position_grid(window_lo, window_hi, scan_step)
+    def score(cand):
         batch = np.broadcast_to(pos, (cand.size, pos.size)).copy()
         batch[:, n] = cand
-        vals = batch_objective(layout_channel_stack(batch, users, cfg), powers)
-        evals += cand.size
-        i = int(np.argmax(vals))
-        if vals[i] > best_v:
-            best_p, best_v = float(cand[i]), float(vals[i])
-        window_lo = max(lo_n, best_p - scan_step)
-        window_hi = min(hi_n, best_p + scan_step)
-        scan_step = scan_step / grid.refine_factor
-    return best_p, best_v, evals
+        return batch_objective(layout_channel_stack(batch, users, cfg), powers)
+
+    cand = position_grid(lo_n, hi_n, step)
+    vals = score(cand)
+    i = int(np.argmax(vals))
+    y, v = (float(cand[i]), float(vals[i])) if vals[i] > val else (float(pos[n]), val)
+    y, v, evals = refine(y, v, lo_n, hi_n, step, grid, score)
+    return y, v, cand.size + evals
 
 
 def exhaustive_search(users, powers: LinkPowers, cfg: ArrayConfig,

@@ -277,9 +277,7 @@ def run_sweep(params: ScenarioParams, settings: OptimizerSettings,
 
     The problems of a trial share their users and powers, so one
     multiuser.scan per trial scores all their lattices, and each GMA run
-    starts from its share. A grid that is not a prefix of the longest grid
-    of its level, as when position_grid clamped or appended its end, is
-    scored on its own. After the scan, the trial's problems share one
+    starts from its share. After the scan, the trial's problems share one
     combining.PointScores memo, so a (y, eta) point is scored once per
     trial; it is dropped when the trial ends. A row's wall_ms therefore
     leaves out both the shared scan and the points an earlier problem of

@@ -25,23 +25,22 @@ import numpy as np
 
 from .arrays import ArrayConfig
 from .combining import LinkPowers, PointScores, metric_profiles
-from .optim import GmaSolution, GridSpec, OptimizerSettings, position_grid
+from .optim import GmaSolution, GridSpec, OptimizerSettings, level_grids, refine
 
 
 def scan(problems, step: float, users,
          powers: LinkPowers) -> list[tuple[float, float, int, int]]:
-    """Lattice maxima of several configurations, scored in shared passes.
+    """Lattice maxima of several configurations, scored in one pass.
 
     problems holds (etas, cfg) pairs whose configurations share N, the
     wavelength and y_min (a ValueError otherwise), and users and powers.
     Level eta of a configuration is scanned on
-    position_grid(*cfg.position_bounds(eta), step). Per level, the longest
-    such grid is scored once, and each configuration whose grid is a
-    bit-for-bit prefix of it reads its maximum off that pass; any other
-    grid (an end that position_grid clamped to hi or appended) is scored on
-    its own. Levels with the same grid share one metric_profiles pass. Per
-    configuration, ties go to the earlier level in its etas, then to the
-    smaller grid index.
+    position_grid(*cfg.position_bounds(eta), step), which optim.level_grids
+    gives as a prefix of one grid plus at most one end point. One
+    metric_profiles call scores every level over that grid with the end
+    points appended, and each (configuration, level) reads its maximum off
+    its prefix and its end point. Per configuration, ties go to the earlier
+    level in its etas, then to the smaller grid index.
 
     Returns one (value, y, eta, evals) per configuration; evals sums the
     sizes of its own grids.
@@ -49,34 +48,28 @@ def scan(problems, step: float, users,
     cfgs = [cfg for _, cfg in problems]
     if len({(c.N, c.wavelength, c.y_min) for c in cfgs}) > 1:
         raise ValueError("configurations must share N, the wavelength and y_min")
-    own = [[cfg.position_bounds(eta) for eta in etas] for etas, cfg in problems]
-    grids = {b: position_grid(*b, step) for b in set(sum(own, []))}
-    longest = {}  # level -> bounds of its longest grid
-    for (etas, _), bounds in zip(problems, own):
-        for eta, b in zip(etas, bounds):
-            longest[eta] = max(longest.get(eta, b), b, key=lambda x: grids[x].size)
-    readers = {}  # bounds scored -> level -> [(configuration, grid size)]
-    for c, (etas, _) in enumerate(problems):
-        for eta, b in zip(etas, own[c]):
-            n, top = grids[b].size, longest[eta]
-            if top != b and grids[top][:n].tobytes() != grids[b].tobytes():
-                top = b
-            readers.setdefault(top, {}).setdefault(eta, []).append((c, n))
+    levels = [(c, eta) for c, (etas, _) in enumerate(problems) for eta in etas]
+    grid, parts = level_grids(cfgs[0].y_min, [cfgs[c].position_bounds(eta)[1]
+                                              for c, eta in levels], step)
+    ends = list(dict.fromkeys(float(end[0]) for _, end in parts if end.size))
+    col = {y: grid.size + j for j, y in enumerate(ends)}  # past the grid
+    readers, evals = {}, [0] * len(problems)  # level -> [(c, prefix, end column)]
+    for (c, eta), (n, end) in zip(levels, parts):
+        readers.setdefault(eta, []).append((c, n, col[end[0]] if end.size else None))
+        evals[c] += n + end.size
+    pts = np.append(grid, ends) if ends else grid
     widest = max(cfgs, key=lambda c: c.eta_max)  # admits every level
     found = {}  # (configuration, level) -> (value, y)
-    for bounds, levels in readers.items():
-        pts = grids[bounds]
-        for eta, vals in metric_profiles(pts, list(levels), users, powers, widest):
-            for c, n in levels[eta]:
-                i = int(np.argmax(vals[:n]))
-                found[c, eta] = float(vals[i]), float(pts[i])
+    for eta, vals in metric_profiles(pts, list(readers), users, powers, widest):
+        for c, n, j in readers[eta]:
+            i = int(np.argmax(vals[:n]))
+            if j is not None and vals[j] > vals[i]:
+                i = j
+            found[c, eta] = float(vals[i]), float(pts[i])
     out = []
     for c, (etas, _) in enumerate(problems):
-        best = (-np.inf, None, None)
-        for eta in etas:
-            if found[c, eta][0] > best[0]:
-                best = (*found[c, eta], eta)
-        out.append((*best, sum(grids[b].size for b in own[c])))
+        eta = max(etas, key=lambda e: found[c, e][0])  # the first of equal values
+        out.append((*found[c, eta], eta, evals[c]))
     return out
 
 
@@ -90,8 +83,9 @@ def grid_position_search(eta: int, users, powers: LinkPowers, cfg: ArrayConfig,
         raise ValueError(f"no admissible position at sparsity {eta}")
     step = grid.resolve_step(cfg.wavelength)
     val, y, _, _ = scan([([eta], cfg)], step, users, powers)[0]
-    y, val, _ = _refine_position(y, val, eta, step, PointScores(users, powers),
-                                 cfg, grid)
+    scores = PointScores(users, powers)
+    y, val, _ = refine(y, val, *cfg.position_bounds(eta), step, grid,
+                       lambda pts: scores.profiles(pts, [eta], cfg)[0])
     return y, val
 
 
@@ -154,7 +148,8 @@ def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
     rounds = 0
     for _ in range(settings.max_alt_iters):
         rounds += 1
-        y2, v2, ev = _refine_position(y, cur, eta, step, scores, cfg, grid)
+        y2, v2, ev = refine(y, cur, *cfg.position_bounds(eta), step, grid,
+                            lambda pts: scores.profiles(pts, [eta], cfg)[0])
         evals += ev
         if v2 > best_val:
             best_val, best_y, best_eta = v2, y2, eta
@@ -170,24 +165,3 @@ def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
     return GmaSolution(y_star=best_y, eta_star=best_eta, objective=best_val,
                        trace=tuple(trace), evals=evals, rounds=rounds)
 
-
-def _refine_position(y: float, val: float, eta: int, base_step: float,
-                     scores: PointScores, cfg: ArrayConfig,
-                     grid: GridSpec) -> tuple[float, float, int]:
-    """Shrinking-window local scans around the incumbent position.
-
-    Keeps the incumbent on ties so refinement never degrades the value.
-    """
-    lo, hi = cfg.position_bounds(eta)
-    step = base_step
-    evals = 0
-    for _ in range(grid.refine_levels):
-        fine = step / grid.refine_factor
-        pts = position_grid(max(lo, y - step), min(hi, y + step), fine)
-        vals = scores.profiles(pts, [eta], cfg)[0]
-        evals += pts.size
-        i = int(np.argmax(vals))
-        if vals[i] > val:
-            y, val = float(pts[i]), float(vals[i])
-        step = fine
-    return y, val, evals

@@ -103,3 +103,38 @@ def position_grid(lo: float, hi: float, step: float) -> np.ndarray:
     elif pts[-1] < hi - 1e-12 * max(1.0, abs(hi)):
         pts = np.append(pts, hi)
     return pts
+
+
+def level_grids(lo: float, his, step: float):
+    """(grid, parts): grid is position_grid(lo, max(his), step), and
+    parts[i] = (n, end) rebuilds position_grid(lo, his[i], step) bit for bit
+    as grid[:n] then end, at most the one point that position_grid clamped
+    to his[i] or appended, in its own memory."""
+    top = max(his)
+    grid = position_grid(lo, top, step)
+    parts = {}
+    for hi in his:
+        if hi not in parts:  # one level's grid at a time
+            pts = grid if hi == top else position_grid(lo, hi, step)
+            n = int(np.searchsorted(grid, pts[-1], side="right"))
+            parts[hi] = n, pts[n:].copy()
+    return grid, [parts[hi] for hi in his]
+
+
+def refine(y: float, val: float, lo: float, hi: float, step: float,
+           grid: GridSpec, score) -> tuple[float, float, int]:
+    """Shrinking-window scans around the incumbent (y, val), as GridSpec
+    says, within [lo, hi]; score maps a window's positions to their values.
+    Ties keep the incumbent. Returns (y, val, points scored).
+    """
+    evals = 0
+    for _ in range(grid.refine_levels):
+        fine = step / grid.refine_factor
+        pts = position_grid(max(lo, y - step), min(hi, y + step), fine)
+        vals = score(pts)
+        evals += pts.size
+        i = int(np.argmax(vals))
+        if vals[i] > val:
+            y, val = float(pts[i]), float(vals[i])
+        step = fine
+    return y, val, evals

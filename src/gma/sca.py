@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrays import ArrayConfig, PathSet, path_phases, sparse_steering_matrix
-from .optim import GmaSolution, OptimizerSettings, position_grid
+from .optim import GmaSolution, OptimizerSettings, level_grids, position_grid
 
 
 def path_matrix(eta: int, paths: PathSet, cfg: ArrayConfig) -> np.ndarray:
@@ -127,10 +127,10 @@ def snr_scan(paths: PathSet, cfg: ArrayConfig, step: float,
              p_bar: float = 1.0) -> tuple[float, float, int, int]:
     """Grid maximum (value, y, eta, evals) of p_bar*||A(eta) f(y)||^2.
 
-    Level eta is searched on position_grid(*cfg.position_bounds(eta), step):
-    a prefix of the region's grid, plus any upper end that confine_aperture
-    moves off it, searched after the blocks. The region's grid is scored in
-    blocks of at most _BLOCK_ENTRIES pair products and level values.
+    Level eta is searched on position_grid(*cfg.position_bounds(eta), step),
+    taken from optim.level_grids: a prefix of the grid of the largest upper
+    end, scored in blocks of at most _BLOCK_ENTRIES pair products and level
+    values, plus at most one end point, scored after the blocks.
 
     Branch and bound over the levels: no value of level eta exceeds
     b(eta) = p_bar*(sum_ij |G_ij(eta)|). A block visits its levels in
@@ -144,14 +144,10 @@ def snr_scan(paths: PathSet, cfg: ArrayConfig, step: float,
     etas = cfg.feasible_etas()
     if not etas:
         raise ValueError("movable region admits no feasible sparsity level")
-    pts = position_grid(cfg.y_min, cfg.y_max, step)
-    size, ends, levels = {}, {}, {}
-    for eta in etas:
-        grid = (position_grid(*cfg.position_bounds(eta), step)
-                if cfg.confine_aperture else pts)
-        size[eta] = int(np.searchsorted(pts, grid[-1], side="right"))
-        ends[eta] = grid[size[eta]:]
-        levels[eta] = _gram_level(eta, paths, cfg)
+    pts, parts = level_grids(cfg.y_min,
+                             [cfg.position_bounds(eta)[1] for eta in etas], step)
+    size, ends = ({eta: part[k] for eta, part in zip(etas, parts)} for k in (0, 1))
+    levels = {eta: _gram_level(eta, paths, cfg) for eta in etas}
     ceiling = {eta: p_bar * levels[eta].bound * (1.0 + _BOUND_MARGIN)
                for eta in etas}  # b(eta) with its margin
     order = sorted(etas, key=lambda e: -ceiling[e])

@@ -10,7 +10,7 @@ from gma.baselines import exhaustive_search
 from gma.combining import LinkPowers, metric_profiles, objective_metric
 from gma.multiuser import (grid_position_search, optimize_multiuser, scan,
                            sparsity_search)
-from gma.optim import GridSpec, OptimizerSettings, position_grid
+from gma.optim import GridSpec, OptimizerSettings, level_grids, position_grid
 from gma.sca import optimize_single_user
 from gma.scenario import ScenarioParams, sample_scenario
 
@@ -61,8 +61,8 @@ class TestScan:
            chunk=st.sampled_from([7, 64]))
     def test_each_configuration_reads_what_it_scans_alone(
             self, seed, K, cells, confine, shape, step_kind, chunk):
-        # nested regions of one anchor. A clamped or appended grid end must be
-        # scored on its own; "rising" users put each level's maximum at the
+        # nested regions of one anchor. A clamped or appended grid end is read
+        # off its own column past the shared grid; "rising" users put each level's maximum at the
         # end of its grid, so a wrong read there shows. "flat" (broadside)
         # users tie every point.
         rng = np.random.default_rng(seed)
@@ -91,6 +91,40 @@ class TestScan:
         for (etas, cfg), got in zip(problems, shared):
             assert got == scan([(etas, cfg)], step, users, powers)[0]
             assert got == per_level_scan(etas, step, users, powers, cfg)
+
+    def test_one_metric_profiles_call_per_scan(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            yield from metric_profiles(*args)
+
+        monkeypatch.setattr(multiuser, "metric_profiles", counted)
+        # every level of a confined configuration has its own upper end
+        sc = sample_scenario(ScenarioParams(K=3, M=32, confine_aperture=True,
+                                            seed=5), 5)
+        etas = sc.cfg.feasible_etas()
+        scan([(etas, sc.cfg)], WAVELENGTH / 16, sc.users, sc.powers)
+        assert calls == [etas]
+        # grids that end in a clamped, an appended and a confined end point
+        rng = np.random.default_rng(2)
+        y_min, step = 0.03, WAVELENGTH / 16
+        tops = [np.nextafter(y_min + step * 40, 0.0), y_min + 30.5 * step,
+                y_min + 48 * step, y_min + 44.3 * step]
+        problems = []
+        for M, y_max, confine in zip((16, 8, 32, 16), tops, (False,) * 3 + (True,)):
+            cfg = ArrayConfig(M=M, N=4, wavelength=WAVELENGTH, y_min=y_min,
+                              y_max=y_max, confine_aperture=confine)
+            problems.append((cfg.feasible_etas(), cfg))
+        _, parts = level_grids(y_min, tops, step)
+        assert [end.size for _, end in parts] == [1, 1, 0, 1]
+        users = [random_paths(rng, L=3) for _ in range(3)]
+        powers = LinkPowers(p_bar=rng.uniform(0.5, 4.0, 3))
+        calls.clear()
+        got = scan(problems, step, users, powers)
+        assert len(calls) == 1
+        for (etas, cfg), res in zip(problems, got):
+            assert res == per_level_scan(etas, step, users, powers, cfg)
 
     def test_configurations_must_share_the_lattice(self):
         users = [PathSet(gains=[1.0], aoas=[0.3])]
@@ -231,16 +265,17 @@ class TestOptimizeMultiuser:
     def test_evals_count_every_scored_point(self, monkeypatch):
         # with confine_aperture a sparsity search scores only the levels whose
         # interval holds its y: here 7 of the 10 feasible ones. evals counts
-        # the points compared: the scan's, and every lookup in the trial's
-        # memo, hits included; the memo scores only the points it misses.
+        # the points compared: the scan's, each level on its own grid (the
+        # scan's one pass also scores levels past their upper bound), and
+        # every lookup in the trial's memo, hits included; the memo scores
+        # only the points it misses.
         scenario = sample_scenario(
             ScenarioParams(K=3, M=32, confine_aperture=True, seed=5), 5)
-        scanned, compared, scored = [], [], []
-
-        def counted(y_values, etas, *args):
-            for eta, vals in metric_profiles(y_values, etas, *args):
-                scanned.append(vals.size)
-                yield eta, vals
+        cfg = scenario.cfg
+        step = GridSpec().resolve_step(cfg.wavelength)
+        scanned = sum(position_grid(*cfg.position_bounds(eta), step).size
+                      for eta in cfg.feasible_etas())
+        compared, scored = [], []
 
         def memo_scored(y_values, etas, *args):
             for eta, vals in metric_profiles(y_values, etas, *args):
@@ -258,7 +293,6 @@ class TestOptimizeMultiuser:
             compared.append(1)
             return point(self, y, eta, cfg)
 
-        monkeypatch.setattr(multiuser, "metric_profiles", counted)  # the scan
         monkeypatch.setattr(combining, "metric_profiles", memo_scored)
         monkeypatch.setattr(combining, "objective_metric",
                             lambda *a: scored.append(1) or objective_metric(*a))
@@ -266,7 +300,7 @@ class TestOptimizeMultiuser:
         monkeypatch.setattr(combining.PointScores, "point", looked_up_point)
         sol = optimize_multiuser(scenario.users, scenario.powers, scenario.cfg)
         assert sol.rounds >= 1
-        assert sol.evals == sum(scanned) + sum(compared)
+        assert sol.evals == scanned + sum(compared)
         assert 0 < sum(scored) < sum(compared)
 
     def test_rank_one_instance_matches_hand_formula(self, cfg_small):

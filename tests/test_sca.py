@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -201,6 +202,22 @@ class TestSnrScan:
             pts = position_grid(cfg.y_min, cfg.y_max, step)
             assert any(position_grid(*cfg.position_bounds(e), step)[-1] not in pts
                        for e in cfg.feasible_etas())
+
+    def test_confined_scan_holds_no_level_grid(self):
+        # each confined level's end point once kept its level's whole grid
+        # alive until the scan returned: 21 grids of up to 100,001 points here
+        paths = random_paths(np.random.default_rng(3), L=3)
+        peaks = []
+        for confine in (False, True):
+            cfg = make_cfg(M=64, N=4, span_wavelengths=100.0,
+                           confine_aperture=confine)
+            tracemalloc.start()
+            try:
+                snr_scan(paths, cfg, WAVELENGTH / 1000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 3 * peaks[0]
 
     def test_rejects_a_region_without_levels(self):
         cfg = make_cfg(M=16, N=4, span_wavelengths=1.0, confine_aperture=True)
