@@ -24,7 +24,8 @@ from .arrays import (LATTICE_STEPS, ArrayConfig, channel_profile,
 
 # (y, eta) rows scored per step of metric_profiles: every batch_sinr call,
 # and the lag rows of a run, cover at most this many rows, so their arrays
-# stay in cache
+# stay in cache; twice as many in float32 (the screening pass below), whose
+# planes then take the same bytes
 _CHUNK = 1 << 11
 
 
@@ -83,7 +84,7 @@ class LinkPowers:
 # The kernel is an LDL^H factorization unrolled over the N x N entries. The
 # channels are split into real and imaginary planes, one (K, B) plane per
 # array element with the batch axis fastest, and every step is an
-# elementwise float64 operation over the B candidates: one numpy call covers
+# elementwise operation over the B candidates: one numpy call covers
 # the whole batch, and no result depends on B or on the other rows. So a
 # (y, eta) value does not depend on its batch (arrays builds each channel
 # row alone, by the lattice rule documented there), and optimizers store
@@ -92,6 +93,11 @@ class LinkPowers:
 # on, in an order that follows the array layout, which would tie a row's
 # bits to the batch shape. Small arrays also keep a call's working set in
 # cache and off freshly mapped pages.
+#
+# The dtype rule. The kernel computes in the dtype of its planes: complex128
+# channels give float64 planes, and complex64 channels float32 ones, with
+# the powers rounded to float32. Every value the package returns, stores or
+# compares is float64; float32 serves only the screening pass below.
 #
 # No pivoting is needed: S is the identity plus a positive semidefinite
 # matrix, so every pivot d_j is at least 1.
@@ -110,25 +116,40 @@ class LinkPowers:
 # table is built and the run is longer than e, where they cost fewer
 # operations than the row-by-row build; other rows (short runs, off-lattice
 # rows, single-point calls) build S row by row.
+#
+# The screening pass. Where K > N > 2, multiuser.scan asks metric_profiles
+# to screen: its lag runs are scored in float32, off a complex64 table, and
+# each such row gets a float32 sum rate R~ and a bound D >= |R~ - R| on its
+# distance from the float64 value R (_screen derives it). Every other row
+# (short runs, off-lattice rows) is scored in float64 as above. The scan
+# then scores in float64 every row that the bounds cannot rule out, so its
+# result is the one of scoring every row in float64. For K <= N the unit
+# eigenvalues of S leave the bound too loose to rule rows out, so those
+# scans, and every other caller, stay in float64.
 
 def batch_sinr(H: np.ndarray, powers: LinkPowers, lower=None) -> np.ndarray:
     """Per-user SINRs for a batch of channel stacks.
 
     Args:
         H: complex array of shape (B, K, N); H[b, k] is user k's channel in
-            candidate b.
+            candidate b. complex64 is computed in float32 (the dtype rule
+            above); any other dtype is taken as complex128.
         powers: K link powers.
         lower: the lower triangle of S, as _covariance_lower returns it, when
             the caller has built it (the lag rule above); None builds it from
-            H. Its entries in columns j >= 1 are overwritten.
+            H. Its entries in columns j >= 1 are overwritten: its diagonal
+            then holds the pivots d_j.
 
     Returns:
-        Real array of shape (B, K).
+        Real array of shape (B, K): float32 for complex64 H, else float64.
     """
-    H = np.asarray(H, dtype=np.complex128)
+    H = np.asarray(H)
+    if H.dtype != np.complex64:
+        H = H.astype(np.complex128, copy=False)
     if H.ndim != 3 or H.shape[1] != powers.K:
         raise ValueError(f"expected channel stack (B, {powers.K}, N), got {H.shape}")
-    p = powers.p_bar
+    real = H.real.dtype
+    p = powers.p_bar.astype(real, copy=False)
     B, K, N = H.shape
     if K == 1:
         # C order: each row then sums the same way, whatever H's layout
@@ -141,9 +162,11 @@ def batch_sinr(H: np.ndarray, powers: LinkPowers, lower=None) -> np.ndarray:
     hi = [planes[:, n].imag.copy() for n in range(N)]
     Sr, Si = _covariance_lower(hr, hi, p) if lower is None else lower
     pu = p[:, None] * _forward_substitute(Sr, Si, hr, hi)
-    # 1 - p_k u_k > 0 analytically; the floor only guards fp rounding.
-    # C order again, so that batch_sum_rate sums each row the same way.
-    return np.ascontiguousarray((pu / np.maximum(1.0 - pu, 1e-300)).T)
+    # 1 - p_k u_k > 0 analytically; the floor only guards fp rounding (and
+    # is float32's smallest normal number there). C order again, so that
+    # batch_sum_rate sums each row the same way.
+    floor = max(1e-300, float(np.finfo(real).tiny))
+    return np.ascontiguousarray((pu / np.maximum(1.0 - pu, floor)).T)
 
 
 def _covariance_lower(hr, hi, p):
@@ -174,19 +197,21 @@ def _lag_lower(tables, diag, p, j0, w, e, N):
     """Lower triangle of S for w lattice rows at table positions j0, j0+1, ...
 
     tables is the (K, T) element-channel table, diag its (T,) diagonal
-    R[0] + 1, and e the table steps between elements. Entry (j+m, j) of row
-    b is R[m*e] at table position j0 + b + j*e, so each lag row covers the
-    run plus its (N-1-m)*e overhang, and every entry is a slice of one.
+    R[0] + 1, p the powers in diag's dtype, and e the table steps between
+    elements. Entry (j+m, j) of row b is R[m*e] at table position
+    j0 + b + j*e, so each lag row covers the run plus its (N-1-m)*e
+    overhang, and every entry is a slice of one.
     """
-    K, width = len(p), w + (N - 1) * e
+    K, width, real = len(p), w + (N - 1) * e, diag.dtype
     # what S keeps is allocated before the scratch block, which is then
     # freed in one piece: the lag rows, and copies of the (N-1)^2 entries
     # that _forward_substitute writes (columns j >= 1)
-    lags, own = np.empty((2, N - 1, width)), iter(np.empty(((N - 1) ** 2, w)))
+    lags = np.empty((2, N - 1, width), real)
+    own = iter(np.empty(((N - 1) ** 2, w), real))
     # the users' planes over the span, flattened: user k's position x is
     # entry k*width + x, so a product of two shifted slices is one
     # contiguous operation, and its entries past a user's width are unused
-    re, im, gr, gi, t, v = np.empty((6, K * width))
+    re, im, gr, gi, t, v = np.empty((6, K * width), real)
     span = tables[:, j0:j0 + width]
     np.copyto(re.reshape(K, width), span.real)
     np.copyto(im.reshape(K, width), span.imag)
@@ -218,7 +243,8 @@ def _lag_lower(tables, diag, p, j0, w, e, N):
 
 
 def _lag_diagonal(tables, p):
-    """R[0] + 1 = 1 + sum_k p_k |c_k|^2 over the table, users added in order."""
+    """R[0] + 1 = 1 + sum_k p_k |c_k|^2 over the table, users added in order;
+    p is in the dtype of the table's real part."""
     diag = None
     for pk, c in zip(p, tables):
         t = (pk * c.real) * c.real
@@ -246,7 +272,7 @@ def _forward_substitute(Sr, Si, zr, zi):
     j >= 1 and the planes of elements i >= 1 only: column 0 and element 0
     are read, never written, so they may be views of shared arrays.
     """
-    u = np.zeros(zr[0].shape)
+    u = np.zeros_like(zr[0])
     N = len(Sr)
     for j in range(N):
         d = Sr[j][j]
@@ -274,13 +300,32 @@ def _forward_substitute(Sr, Si, zr, zi):
     return u
 
 
-def batch_sum_rate(H: np.ndarray, powers: LinkPowers, lower=None) -> np.ndarray:
-    """Sum rates (bits/s/Hz) for a batch of channel stacks, shape (B,)."""
-    return np.log2(1.0 + batch_sinr(H, powers, lower)).sum(axis=1)
+def batch_sum_rate(H: np.ndarray, powers: LinkPowers, lower=None):
+    """Sum rates (bits/s/Hz) for a batch of channel stacks, shape (B,).
+
+    complex64 H, with K > 1, is the screening pass above: the result is
+    the pair (R~, D) of float32 arrays, the sum rates of the float32 SINRs
+    and a bound D >= |R~ - R| on their distance from the float64 sum rates
+    R (see _screen).
+    """
+    H = np.asarray(H)
+    if H.dtype != np.complex64:
+        return np.log2(1.0 + batch_sinr(H, powers, lower)).sum(axis=1)
+    if powers.K == 1:
+        raise ValueError("the screening bound needs K > 1")
+    p = powers.p_bar.astype(np.float32)
+    if lower is None:
+        planes = H.transpose(1, 2, 0)
+        lower = _covariance_lower([planes[:, n].real.copy() for n in range(H.shape[2])],
+                                  [planes[:, n].imag.copy() for n in range(H.shape[2])], p)
+    Sr = lower[0]
+    sjj = np.stack([Sr[j][j] for j in range(1, len(Sr))])  # before the kernel
+    return _screen(batch_sinr(H, powers, lower), Sr, sjj, p)
 
 
-def batch_objective(H: np.ndarray, powers: LinkPowers, lower=None) -> np.ndarray:
-    """Scheme-comparison metric for a batch: SNR if K == 1, else sum rate."""
+def batch_objective(H: np.ndarray, powers: LinkPowers, lower=None):
+    """Scheme-comparison metric for a batch: SNR if K == 1, else sum rate
+    (a pair for complex64 H, as batch_sum_rate says)."""
     if powers.K == 1:
         return batch_sinr(H, powers)[:, 0]
     return batch_sum_rate(H, powers, lower)
@@ -291,7 +336,8 @@ def channel_stack(y_values: np.ndarray, eta: int, users, cfg: ArrayConfig) -> np
     return np.stack([channel_profile(y_values, eta, u, cfg) for u in users], axis=1)
 
 
-def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig):
+def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
+                    screen: bool = False):
     """Yield (eta, metric array over y_values) for each requested eta.
 
     Channels follow the lattice rule in arrays. The lattice rows of a call
@@ -302,46 +348,60 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig)
     one gain-weighted shift table per user across the levels.
 
     The (eta, y) rows of all levels are scored in chunks of up to _CHUNK
-    rows, and one chunk spans several levels when the position grid is
-    short. In a chunk, each run of consecutive table positions of one level
-    that the lag rule above takes goes through batch_objective with its
-    covariance built from lag rows; the chunk's other rows go through one
-    call that builds it row by row. A (y, eta) value does not depend on its
+    rows (2 _CHUNK when screening), and one chunk spans several levels when
+    the position grid is short. In a chunk, each run of consecutive table
+    positions of one level that the lag rule above takes goes through
+    batch_objective with its covariance built from lag rows; the chunk's
+    other rows go through one call that builds it row by row. A (y, eta) value does not depend on its
     batch: each entry equals objective_metric at that point.
+
+    With screen (multiuser.scan's pass), each item is (eta, values, bounds).
+    Where K > N > 2 the table is complex64 and the lag runs are scored in
+    float32 (the screening pass above): their entries in values are R~,
+    and bounds holds their D, and 0 on the level's other rows, whose values
+    are objective_metric's. bounds is None where no row of the level was
+    screened: then every value is objective_metric's.
     """
     y_values = np.asarray(y_values, dtype=np.float64)
     etas, B, N, K = list(etas), y_values.size, cfg.N, len(users)
+    screen, exact = bool(screen), not (screen and K > N > 2)
+    p = powers.p_bar.astype(np.float64 if exact else np.float32)
     t, on = lattice_index(y_values, cfg)
     # rows are scored lattice rows first, each class in row order
     order, n_on = np.argsort(~on, kind="stable"), int(on.sum())
     lat = t[order[:n_on]]
     shifts = None if n_on == B else [
         gain_weighted_shifts(y_values[order[n_on:]], u, cfg) for u in users]
-    # lat holds lattice indices, or table positions of stride s once the
-    # tables are built
-    tables, diag, s, breaks = None, None, 1, np.empty(0, dtype=np.int64)
+    # lat holds lattice indices base + s*lat: base = 0 and s = 1 until the
+    # tables are built, then lat holds table positions
+    tables, diag, base, s, breaks = None, None, 0, 1, np.empty(0, dtype=np.int64)
     if n_on:
         t0 = int(lat.min())
         g = int(np.gcd.reduce(np.append(lat - t0, LATTICE_STEPS)))
         size = (int(lat.max()) - t0) // g + 1 + (N - 1) * max(etas) * LATTICE_STEPS // g
         if size < n_on * N * len(etas):
-            # built one user at a time; only the (K, size) table is kept
-            tables = np.empty((K, size), dtype=np.complex128)
+            # only the (K, size) table is kept: each user's entries are
+            # built in blocks of _CHUNK positions, straight into its dtype
+            tables = np.empty((K, size), np.complex128 if exact else np.complex64)
             for k, u in enumerate(users):
-                tables[k] = element_channels(t0 + g * np.arange(size), u, cfg)
-            lat, s = (lat - t0) // g, g
+                for a in range(0, size, _CHUNK):
+                    b = min(a + _CHUNK, size)
+                    tables[k, a:b] = element_channels(t0 + g * np.arange(a, b), u, cfg)
+            lat, base, s = (lat - t0) // g, t0, g
             if K > 1 and N > 2:
-                diag = _lag_diagonal(tables, powers.p_bar)
+                diag = _lag_diagonal(tables, p)
                 # runs of consecutive table positions end at these rows
                 breaks = np.flatnonzero(np.diff(lat) != 1) + 1
     cuts = np.append(breaks, n_on)  # segments never mix lattice and off-lattice rows
-    filling = {}  # level index -> its values, until the level is complete
-    for start in range(0, len(etas) * B, _CHUNK):
-        stop = min(start + _CHUNK, len(etas) * B)
+    filling = {}  # level index -> [values, bounds or None], until it is complete
+    chunk = _CHUNK if exact else 2 * _CHUNK
+    for start in range(0, len(etas) * B, chunk):
+        stop = min(start + chunk, len(etas) * B)
         vals = np.empty(stop - start)
+        spread = None if exact else np.empty(stop - start)
         # (level index, first row, last row + 1, first position in vals);
         # rows count in the scoring order
-        segments, by_rows, row = [], [], start
+        segments, by_rows, screened, row = [], [], set(), start
         while row < stop:
             lvl, a = divmod(row, B)
             b = min(B, a + stop - row)
@@ -354,21 +414,145 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig)
                     by_rows.append(segment)
                     continue
                 j0, w = int(lat[x]), z - x
-                lower = _lag_lower(tables, diag, powers.p_bar, j0, w, e, N)
-                vals[segment[3]:segment[3] + w] = batch_objective(
-                    _table_view(tables, j0, w, e, N), powers, lower)
+                lower = _lag_lower(tables, diag, p, j0, w, e, N)
+                H, at = _table_view(tables, j0, w, e, N), slice(segment[3], segment[3] + w)
+                if exact:
+                    vals[at] = batch_objective(H, powers, lower)
+                else:
+                    vals[at], spread[at] = batch_objective(H, powers, lower)
+                    screened.add(segment[3])
             row += b - a
         if by_rows:
-            vals[np.concatenate([np.arange(p, p + z - x) for _, x, z, p in by_rows])] = \
-                _score_rows(by_rows, etas, n_on, lat, s, tables, shifts, users, powers, cfg)
-        for lvl, a, b, p in segments:
+            vals[np.concatenate([np.arange(q, q + z - x) for _, x, z, q in by_rows])] = \
+                _score_rows(by_rows, etas, n_on, lat, base, s, tables if exact else None,
+                            shifts, users, powers, cfg)
+        for lvl, a, b, q in segments:
             if a == 0:
-                filling[lvl] = np.empty(B)
-            filling[lvl][a:b] = vals[p:p + b - a]
-            if b == B:
-                out = np.empty(B)
-                out[order] = filling.pop(lvl)
-                yield etas[lvl], out
+                filling[lvl] = [np.empty(B), None]
+            filling[lvl][0][a:b] = vals[q:q + b - a]
+            if q in screened:
+                if filling[lvl][1] is None:
+                    filling[lvl][1] = np.zeros(B)
+                filling[lvl][1][a:b] = spread[q:q + b - a]
+            if b == B:  # yielded without a name here, so this frame drops it
+                yield _level(etas[lvl], filling.pop(lvl), order, screen)
+
+
+def _level(eta, arrays, order, screen):
+    """metric_profiles' item for a level: (eta, values) or (eta, values,
+    bounds) in the caller's row order; entry i of arrays is row order[i]."""
+    item = [eta]
+    for x in arrays[:1 + screen]:
+        item.append(None if x is None else np.empty(x.size))
+        if x is not None:
+            item[-1][order] = x
+    return tuple(item)
+
+
+# u of the screening bound: float32's unit roundoff, plus float64's, which
+# bounds the rounding of the float64 value R by the same argument
+_U = 2.0 ** -24 + 2.0 ** -53
+
+
+def _screen(gammas, Sr, sjj, p):
+    """(R~, D) of w float32 rows: R~ = sum_k log2(1 + gammas[:, k]), and
+    D >= |R~ - R|, where R is the row's float64 sum rate, or D = +inf.
+
+    gammas is batch_sinr's float32 (w, K) result, and Sr the real lower
+    triangle of S it factored in place: its diagonal holds the pivots d_j.
+    Both are overwritten. sjj[j - 1] holds S_jj before the factorization,
+    j = 1 ... N - 1; p are the float32 powers.
+
+    The bound. Let u = _U, g_m = m u / (1 - m u), and S^ =
+    diag(S)^-1/2 S diag(S)^-1/2, whose diagonal is 1 and whose eigenvalues
+    lie in (0, N]. Scaled by sqrt(S_ii S_jj), a float32 row is exact for
+    S + E and channels rounded to h (1 + delta), |delta| <= u, but for its
+    last sums. Entry by entry (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3 and 10; a complex product in real arithmetic costs a
+    factor sqrt(2); |L| D |L^H| <= sqrt(S_ii S_jj) (1 + O(u)) by
+    Cauchy-Schwarz while every pivot is positive):
+      - rounding the table to complex64 moves S by (2 + u) u;
+      - a lag sum (p_k rounded, two products and an add per user, K users
+        added in order) errs by sqrt(2) g_{K+3};
+      - the unrolled LDL^H has L D L^H = S + E_1, |E_1| <= sqrt(2) g_{N+3}
+        |L| D |L^H|;
+      - the substitution solves (L + F) z = h, |F| <= sqrt(2) g_{N+1} |L|,
+        which moves L D L^H by 2 sqrt(2) g_{N+1} (1 + O(u)).
+    So |E^_ij| <= c_S u, c_S = 2 + sqrt(2) (K + 3N + 8), and ||E^||_2 <=
+    N c_S u. If ||E^|| <= r lambda, lambda = lambda_min(S^), then
+    h^H (S + E)^-1 h lies in [1/(1 + r), 1/(1 - r)] times h^H S^-1 h, and
+    the channel rounding moves sqrt(h^H S^-1 h) by u sqrt(N / lambda)
+    relative, so h^H S^-1 h by 3 u N / lambda. With c = c_S + 3 + 1 (the
+    1 covers second-order terms) and rho = c N u / lambda, x = p_k u_k and
+    the kernel's x~ thus satisfy |x - x~| <= eps x~ + tau, where
+    eps = (rho / (1 - rho) + g_{N+5}) / (1 - g_{N+5}): g_{N+5} covers the
+    sum over the pivots and the product by p_k. tau covers underflow: it
+    adds 2^-149 at most per operation, nothing against S, whose diagonal
+    is at least 1, and tau = N^4 (1 + max p) 2^-140 / lambda to x through
+    the substitution and the last sums.
+
+    lambda from the pivots: the matrix factored, scaled, has determinant
+    det = prod_j d_j / S_jj, and a positive definite matrix of trace N has
+    lambda_min >= det ((N - 1)/N)^(N - 1), as its other eigenvalues have a
+    product of at most (N/(N - 1))^(N - 1). Its trace and scaling differ
+    from S^'s by O(u), and the float32 ratios round 2N times: a factor
+    1 - b u, b = 2N (K + N + 8), covers them. By Weyl's inequality,
+    lambda >= lambda^ = det ((N - 1)/N)^(N - 1) (1 - b u) - c N u, so
+    rho / (1 - rho) <= c N u q, q = 1 / (lambda^ - c N u).
+
+    The rate. R_k = log2(1 + gamma_k) = -log2(1 - x), and the kernel
+    returns gamma~ = x~ / (1 - x~) (1 + theta), |theta| <= g_2. Then
+    (1 + gamma_k) / (1 + gamma~_k) lies within a factor (1 - a_k) (1 - g_2)
+    of 1, a_k = (eps gamma~_k + tau (1 + gamma~_k)) / (1 - g_2), so
+    |R_k - log2(1 + gamma~_k)| <= -log2(1 - a_k) - log2(1 - g_2)
+    <= (1/(1 - a_k) - 1) / ln 2 - log2(1 - g_2), and D sums that over the
+    users.
+
+    Arithmetic. D is evaluated in float32 where lambda^ >= 4 c N u: with
+    rho <= 1/4, tau <= N^4 (1 + max p) 2^-140 / (4 c N u), and each a_k is
+    within a relative 2^-18 of its value, so it is raised by that factor
+    before 1 - a_k, which then rounds exactly (Sterbenz) or by u. Raising
+    the user sum by 1 + 2^-16 and adding 2^-16 (K + R~) covers these
+    roundings, the cancellation in 1/(1 - a_k) - 1, those of R~ (float32
+    logs, which numpy tests to 3 ulp, summed in float32) and of R, and
+    the caller's R~ +- D in float64. D = +inf on every other row: a pivot
+    <= 0, rho > 1/4, some a_k >= 1, or a value that is not finite.
+    """
+    N, K, w = len(Sr), len(p), gammas.shape[0]
+    u, c = _U, 6.0 + np.sqrt(2.0) * (K + 3 * N + 8)
+    cnu, g2, gn = c * N * u, 2 * u / (1 - 2 * u), (N + 5) * u / (1 - (N + 5) * u)
+    lead = ((N - 1) / N) ** (N - 1) * (1 - 2 * N * (K + N + 8) * u)
+    tau = N ** 4 * (1 + float(p.max())) * 2.0 ** -140 / (4 * cnu) / (1 - g2)
+    # a_k = gamma~_k (q c1 + c0) + tau, with q = 1/(lambda^ - c N u) =
+    # 1/(lead (det - 2 c N u / lead)), each raised by 2^-18
+    c1 = cnu / ((1 - gn) * (1 - g2) * lead) * (1 + 2.0 ** -18)
+    c0 = (gn / (1 - gn) / (1 - g2) + tau) * (1 + 2.0 ** -18)
+    up = (1 + 2.0 ** -16) / np.log(2.0)
+    # the arrays are reused in place: fresh ones would map fresh pages
+    g = np.ascontiguousarray(gammas.T)  # (K, w): numpy loops over the rows
+    with np.errstate(all="ignore"):
+        det = Sr[1][1]
+        for j in range(1, N):
+            d = np.maximum(Sr[j][j], 0.0, out=Sr[j][j])
+            d /= sjj[j - 1]
+            if j > 1:
+                det *= d
+        det -= 2 * cnu / lead
+        # q c1 + c0, or +inf where rho > 1/4, that is lambda^ < 4 c N u
+        q = np.divide(c1, det, out=np.full(w, np.inf, det.dtype),
+                      where=det >= 3 * cnu / lead)
+        q += c0
+        a = np.multiply(g, q, out=g)
+        # 1/(1 - a_k), +inf where a_k >= 1
+        np.maximum(np.subtract(1 - tau * (1 + 2.0 ** -18), a, out=a), 0.0, out=a)
+        spread = np.full(K, up, g.dtype) @ np.reciprocal(a, out=a)
+        rate = np.log2(np.add(gammas, 1, out=gammas), out=gammas) @ np.ones(K, g.dtype)
+        spread += 2.0 ** -16 * rate
+        spread += K * (2.0 ** -16 - up - (1 + 2.0 ** -16) * np.log2(1 - g2))
+        bad = ~(spread < np.inf)
+    np.copyto(spread, np.inf, where=bad)
+    np.copyto(rate, 0.0, where=bad)
+    return rate, spread
 
 
 def _table_view(tables, j0, w, e, N):
@@ -380,11 +564,13 @@ def _table_view(tables, j0, w, e, N):
     return H
 
 
-def _score_rows(segments, etas, n_on, lat, s, tables, shifts, users, powers, cfg):
+def _score_rows(segments, etas, n_on, lat, base, s, tables, shifts, users, powers, cfg):
     """Values of the segments' rows, in order, with S built row by row.
 
     A segment holds lattice rows only (rows below n_on) or off-lattice rows
-    only.
+    only. tables is the complex128 table, or None: the channels at lattice
+    indices base + s*lat are then built element by element, with the same
+    bits.
     """
     N = cfg.N
     H = np.empty((len(users), N, sum(z - x for _, x, z, _ in segments)),
@@ -395,14 +581,30 @@ def _score_rows(segments, etas, n_on, lat, s, tables, shifts, users, powers, cfg
         if z <= n_on:
             idx = lat[x:z] + LATTICE_STEPS * eta // s * np.arange(N)[:, None]
             for k, u in enumerate(users):
-                H[k, :, p:q] = (element_channels(idx, u, cfg) if tables is None
-                                else tables[k][idx])
+                H[k, :, p:q] = (element_channels(base + s * idx, u, cfg)
+                                if tables is None else tables[k][idx])
         else:
             for k, u in enumerate(users):
                 abar = sparse_steering_matrix(eta, u.aoas, cfg)
                 H[k, :, p:q] = sum_paths(shifts[k][x - n_on:z - n_on], abar).T
         p = q
     return batch_objective(H.transpose(2, 0, 1), powers)
+
+
+def point_values(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig) -> np.ndarray:
+    """objective_metric's value at each (y_values[i], etas[i]), unchecked.
+
+    The points go through channel_stack and batch_objective, as
+    objective_metric's do, in batches that build at most _CHUNK channel
+    entries per user. A value does not depend on its batch, so each equals
+    objective_metric's at its point.
+    """
+    y_values, etas = np.asarray(y_values, dtype=np.float64), np.asarray(etas)
+    out, rows = np.empty(y_values.size), max(1, _CHUNK // cfg.N)
+    for a in range(0, y_values.size, rows):
+        H = channel_stack(y_values[a:a + rows], etas[a:a + rows], users, cfg)
+        out[a:a + rows] = batch_objective(H, powers)
+    return out
 
 
 def objective_metric(y: float, eta: int, users, powers: LinkPowers,

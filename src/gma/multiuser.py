@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arrays import ArrayConfig
-from .combining import LinkPowers, PointScores, metric_profiles
+from .combining import LinkPowers, PointScores, metric_profiles, point_values
 from .optim import GmaSolution, GridSpec, OptimizerSettings, level_grids, refine
 
 
@@ -41,6 +41,18 @@ def scan(problems, step: float, users,
     points appended, and each (configuration, level) reads its maximum off
     its prefix and its end point. Per configuration, ties go to the earlier
     level in its etas, then to the smaller grid index.
+
+    Where K > N > 2 that call screens (see combining): the rows of its lag
+    runs come back as float32 sum rates R~ with bounds D >= |R~ - R| on
+    their distance from the float64 values R, and its other rows (short
+    runs, off-lattice end points) as float64 values with D = 0. Each
+    configuration then scores in float64, through combining.point_values
+    and in one call for all, exactly its rows of a screened level with
+    R~ + D >= max(R~ - D) over its own rows, and takes its maximum over
+    those and its levels scored in float64 alone. The true maximum, and
+    every row tied with it, pass that test, and any other row is below it,
+    so the result, evals included, is that of scoring every row in float64.
+    Float32 values are only compared with each other, never returned.
 
     Returns one (value, y, eta, evals) per configuration; evals sums the
     sizes of its own grids.
@@ -60,15 +72,45 @@ def scan(problems, step: float, users,
     pts = np.append(grid, ends) if ends else grid
     widest = max(cfgs, key=lambda c: c.eta_max)  # admits every level
     found = {}  # (configuration, level) -> (value, y)
-    for eta, vals in metric_profiles(pts, list(readers), users, powers, widest):
+    floor = [-np.inf] * len(problems)  # the largest R~ - D of each configuration
+    screened = {}  # level -> (columns, R~ + D) that no floor rules out yet
+    for eta, vals, bounds in metric_profiles(pts, list(readers), users, powers,
+                                             widest, True):
+        if bounds is None:
+            for c, n, j in readers[eta]:
+                i = int(np.argmax(vals[:n]))
+                if j is not None and vals[j] > vals[i]:
+                    i = j
+                found[c, eta] = float(vals[i]), float(pts[i])
+                floor[c] = max(floor[c], vals[i])
+            continue
+        low, high = vals - bounds, vals + bounds
+        top = np.maximum.accumulate(low[:grid.size])  # over each prefix
         for c, n, j in readers[eta]:
-            i = int(np.argmax(vals[:n]))
-            if j is not None and vals[j] > vals[i]:
-                i = j
-            found[c, eta] = float(vals[i]), float(pts[i])
+            floor[c] = max(floor[c], top[n - 1], -np.inf if j is None else low[j])
+        cols = np.flatnonzero(high >= min(floor[c] for c, _, _ in readers[eta]))
+        screened[eta] = cols, high[cols]
+        # free this level's arrays before the pass scores the next one
+        del vals, bounds, low, high, top
+    # every floor is final: score in float64 the rows it does not rule out
+    live = {}  # (configuration, level) -> columns, in grid order
+    for eta, (cols, high) in screened.items():
+        for c, n, j in readers[eta]:
+            own = (cols < n) | (cols == (-1 if j is None else j))
+            live[c, eta] = cols[own & (high >= floor[c])]
+    todo = sorted({(eta, i) for (_, eta), cols in live.items() for i in cols.tolist()})
+    if todo:
+        etas, cols = (np.array(x) for x in zip(*todo))
+        exact = dict(zip(todo, point_values(pts[cols], etas, users, powers,
+                                            widest).tolist()))
+        for (c, eta), cols in live.items():
+            if cols.size:  # the first of equal values wins
+                i = max(cols.tolist(), key=lambda i: exact[eta, i])
+                found[c, eta] = exact[eta, i], float(pts[i])
     out = []
     for c, (etas, _) in enumerate(problems):
-        eta = max(etas, key=lambda e: found[c, e][0])  # the first of equal values
+        eta = max((e for e in etas if (c, e) in found),
+                  key=lambda e: found[c, e][0])  # the first of equal values
         out.append((*found[c, eta], eta, evals[c]))
     return out
 

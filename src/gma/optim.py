@@ -88,36 +88,46 @@ def position_grid(lo: float, hi: float, step: float) -> np.ndarray:
     not land on the lattice so the boundary is always examined. No point
     lies above hi: the slack that lets the last step reach hi despite
     rounding can overshoot it by an ulp, and such a point becomes hi.
+    grid_end gives its size and last point without building it.
     """
+    count, last = grid_end(lo, hi, step)
+    pts = lo + step * np.arange(count)
+    pts[-1] = last
+    return pts
+
+
+def grid_end(lo: float, hi: float, step: float) -> tuple[int, float]:
+    """(count, last) of position_grid(lo, hi, step): its first count - 1
+    points are lo + i*step, and its last point is last, bit for bit."""
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
-        return np.array([lo])
+        return 1, lo
     count = np.floor((hi - lo) / step + 1e-9)
     if not count < np.iinfo(np.intp).max:
         raise ValueError(f"grid step {step} over [{lo}, {hi}] gives {count + 1:.4g} "
                          "points, more than numpy can index")
-    pts = lo + step * np.arange(int(count) + 1)
-    if pts[-1] > hi:
-        pts[-1] = hi
-    elif pts[-1] < hi - 1e-12 * max(1.0, abs(hi)):
-        pts = np.append(pts, hi)
-    return pts
+    last = lo + step * count
+    if last > hi:
+        return int(count) + 1, hi
+    if last < hi - 1e-12 * max(1.0, abs(hi)):
+        return int(count) + 2, hi
+    return int(count) + 1, last
 
 
 def level_grids(lo: float, his, step: float):
     """(grid, parts): grid is position_grid(lo, max(his), step), and
     parts[i] = (n, end) rebuilds position_grid(lo, his[i], step) bit for bit
     as grid[:n] then end, at most the one point that position_grid clamped
-    to his[i] or appended, in its own memory."""
-    top = max(his)
-    grid = position_grid(lo, top, step)
+    to his[i] or appended, in its own memory. Only grid is built."""
+    grid = position_grid(lo, max(his), step)
     parts = {}
     for hi in his:
-        if hi not in parts:  # one level's grid at a time
-            pts = grid if hi == top else position_grid(lo, hi, step)
-            n = int(np.searchsorted(grid, pts[-1], side="right"))
-            parts[hi] = n, pts[n:].copy()
+        if hi not in parts:
+            count, last = grid_end(lo, hi, step)
+            n = count - 1  # grid[:n] are the points lo + i*step before last
+            parts[hi] = ((count, np.empty(0)) if n < grid.size and grid[n] == last
+                         else (n, np.array([last])))
     return grid, [parts[hi] for hi in his]
 
 

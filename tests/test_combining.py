@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from gma import arrays, combining
+from gma import arrays, combining, multiuser
 from gma.arrays import LATTICE_STEPS, ArrayConfig, PathSet, lattice_index
 from gma.combining import (LinkPowers, PointScores, batch_objective,
                            batch_sinr, batch_sum_rate, channel_stack,
@@ -272,6 +272,25 @@ class TestBatchedEvaluation:
                 # 1 + gamma, which reaches 1e6 at 40 dBm (old kernel alike)
                 np.testing.assert_allclose(gammas, ref, rtol=1e-9)
 
+    @given(seed=st.integers(0, 10 ** 6), K=st.integers(2, 10), N=st.integers(2, 8),
+           dbm=st.floats(0.0, 40.0))
+    def test_complex64_stacks_are_scored_in_float32_within_their_bound(
+            self, seed, K, N, dbm):
+        # the dtype rule: complex64 channels give float32 SINRs, and their
+        # sum rates come with the screening bound D >= |R~ - R|, whatever K
+        sc = sample_scenario(ScenarioParams(K=K, N=N, M=4 * N, p_tx_dbm=dbm,
+                                            seed=seed), 0)
+        cfg, r = sc.cfg, np.random.default_rng(seed)
+        eta = int(r.choice(cfg.feasible_etas()))
+        H = channel_stack(r.uniform(cfg.y_min, cfg.y_max, 32), eta, sc.users, cfg)
+        gammas = batch_sinr(H.astype(np.complex64), sc.powers)
+        assert gammas.dtype == np.float32 and gammas.shape == (32, K)
+        rate, spread = batch_sum_rate(H.astype(np.complex64), sc.powers)
+        assert rate.dtype == spread.dtype == np.float32
+        exact = batch_sum_rate(H, sc.powers)
+        assert exact.dtype == np.float64
+        assert np.all(np.abs(rate - exact) <= spread)
+
     def test_single_user_fast_path(self, cfg_small, rng):
         ps = random_paths(rng, L=2)
         powers = LinkPowers(p_bar=np.array([2.0]))
@@ -403,18 +422,28 @@ class TestLatticeTable:
 
     def test_default_scan_builds_one_table_per_user(self):
         # 8,129 grid positions plus the (N-1)*eta_max*d/step = 3*42*8 that
-        # the top element of the sparsest level reaches beyond them
+        # the top element of the sparsest level reaches beyond them. Each
+        # user's table is built in blocks of at most _CHUNK positions, one
+        # element_channels call each (a 1-D index array; the rows scored
+        # element by element pass (N, rows) arrays): every entry is built
+        # exactly once, as the blocks are disjoint and their sizes sum to
+        # K times the table size.
         sc = sample_scenario(ScenarioParams(), 0)
         cfg = sc.cfg
-        wrap = arrays.gain_weighted_shifts
-        with mock.patch.object(arrays, "gain_weighted_shifts", wraps=wrap) as a, \
-                mock.patch.object(combining, "gain_weighted_shifts", wraps=wrap) as c:
+        with mock.patch.object(combining, "element_channels",
+                               wraps=arrays.element_channels) as built:
             [(_, _, _, evals)] = scan([(cfg.feasible_etas(), cfg)],
                                       cfg.wavelength / 16.0, sc.users, sc.powers)
-        rows = [call.args[0].size for call in a.call_args_list + c.call_args_list]
+        blocks = [call.args[:2] for call in built.call_args_list
+                  if call.args[0].ndim == 1]
         assert evals == 8129 * 42
-        assert len(rows) == sc.K
-        assert sum(rows) <= sc.K * (8129 + 3 * 42 * 8)
+        size = sum(q.size for q, _ in blocks) // sc.K
+        assert sum(q.size for q, _ in blocks) == sc.K * size
+        assert size <= 8129 + 3 * 42 * 8
+        for u in sc.users:
+            q = np.concatenate([q for q, v in blocks if v is u])
+            assert q.size == size and len(set(q.tolist())) == size
+            assert all(b.size <= combining._CHUNK for b, v in blocks if v is u)
 
 
 class TestLagRows:
@@ -472,19 +501,27 @@ class TestLagRows:
                 mock.patch.object(combining, "_covariance_lower",
                                   wraps=combining._covariance_lower) as rows, \
                 mock.patch.object(combining, "batch_sinr",
-                                  wraps=combining.batch_sinr) as sinr:
+                                  wraps=combining.batch_sinr) as sinr, \
+                mock.patch.object(multiuser, "point_values",
+                                  wraps=combining.point_values) as again:
             [(_, _, _, evals)] = scan([(etas, cfg)], cfg.wavelength / 16.0,
                                       sc.users, sc.powers)
         lag_rows = sum(call.args[4] for call in lag.call_args_list)
         by_rows = sum(call.args[0][0].shape[1] for call in rows.call_args_list)
+        # K = 5 > N = 4: the pass screens, and the rows its bounds cannot
+        # rule out are scored again in float64, in one point_values call
+        [rescored] = [call.args[0].shape[0] for call in again.call_args_list]
         assert evals == 8129 * 42
-        # every scored row reaches batch_sinr, with S built one way or the other
-        assert sum(call.args[0].shape[0] for call in sinr.call_args_list) == evals
-        assert lag_rows + by_rows == evals
-        # the grid is all lattice rows, so S is built row by row only where a
-        # chunk boundary leaves at most e = 8*eta rows of a level, at either
-        # end of the level
-        assert by_rows <= sum(2 * 8 * eta for eta in etas)
+        assert 0 < rescored < evals / 1000
+        # every scored row reaches batch_sinr, with S built one way or the
+        # other, and the re-scored rows once more, with S built row by row
+        assert sum(call.args[0].shape[0] for call in sinr.call_args_list) == \
+            evals + rescored
+        assert lag_rows + by_rows == evals + rescored
+        # the grid is all lattice rows, so the pass builds S row by row only
+        # where a chunk boundary leaves at most e = 8*eta rows of a level, at
+        # either end of the level
+        assert by_rows - rescored <= sum(2 * 8 * eta for eta in etas)
 
 
 class TestPointScores:

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
 from gma import combining, multiuser
 from gma.arrays import ArrayConfig, PathSet
@@ -418,3 +418,161 @@ class TestOptimizeMultiuser:
         with pytest.raises(ValueError):
             optimize_multiuser(users, LinkPowers(p_bar=np.array([1.0, 1.0])),
                                cfg_small)
+
+
+def screened_rows(pts, etas, users, powers, cfg):
+    """[(eta, R~ or R, D or None, R)] of the scan's pass over pts."""
+    exact = dict(metric_profiles(pts, etas, users, powers, cfg))
+    return [(eta, vals, bounds, exact[eta]) for eta, vals, bounds in
+            metric_profiles(pts, etas, users, powers, cfg, True)]
+
+
+def patched_bound(value):
+    """combining._screen with every D replaced by value."""
+    screen = combining._screen
+
+    def patched(*args):
+        rate, spread = screen(*args)
+        return rate, np.full_like(spread, value)
+    return mock.patch.object(combining, "_screen", patched)
+
+
+def flat_users(seed, K=5):
+    """K one-path users: the sum rate does not depend on y, so the rows of a
+    level differ by rounding alone."""
+    rng = np.random.default_rng(seed)
+    return ([PathSet(gains=[rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(0.0, 6.3))],
+                     aoas=[a]) for a in np.arcsin(rng.uniform(-0.9, 0.9, K))],
+            LinkPowers(p_bar=rng.uniform(50.0, 400.0, K)))
+
+
+class TestScreening:
+    """Where K > N > 2 the scan scores its lag runs in float32, with a bound
+    on each row's distance from its float64 value (combining's screening
+    pass), and scores in float64 the rows the bounds cannot rule out."""
+
+    @given(seed=st.integers(0, 10 ** 6), N=st.integers(2, 9), extra=st.integers(1, 8),
+           dbm=st.floats(0.0, 40.0), confine=st.booleans(),
+           chunk=st.sampled_from([7, 64, 1024]),
+           cells=st.lists(st.tuples(st.sampled_from([12, 16]), st.integers(1, 3)),
+                          min_size=1, max_size=3, unique=True))
+    @hyp_settings(max_examples=25, deadline=None)
+    def test_bounds_hold_and_the_scan_stays_exact(self, seed, N, extra, dbm,
+                                                   confine, chunk, cells):
+        # K in 2..10 with K > N; one configuration per cell, nested regions
+        # of one anchor as run_sweep's
+        K = min(N + extra, 10)
+        sc = sample_scenario(ScenarioParams(K=K, N=N, p_tx_dbm=dbm, seed=seed), 0)
+        problems = []
+        for M, mult in cells:
+            cfg = ArrayConfig(M=M, N=N, wavelength=WAVELENGTH, y_min=0.0,
+                              y_max=mult * 4 * WAVELENGTH, confine_aperture=confine)
+            if cfg.feasible_etas():
+                problems.append((cfg.feasible_etas(), cfg))
+        assume(problems)
+        step = WAVELENGTH / 16
+        with mock.patch.object(combining, "_CHUNK", chunk):
+            cfg = max((c for _, c in problems), key=lambda c: (c.y_max, c.eta_max))
+            pts = position_grid(cfg.y_min, cfg.y_max, step)
+            for eta, vals, bounds, exact in screened_rows(
+                    pts, cfg.feasible_etas(), sc.users, sc.powers, cfg):
+                if bounds is None:
+                    assert np.array_equal(vals, exact)
+                else:
+                    assert np.all(np.abs(vals - exact) <= bounds)
+            shared = scan(problems, step, sc.users, sc.powers)
+            alone = [scan([p], step, sc.users, sc.powers)[0] for p in problems]
+        for (etas, cfg), got, one in zip(problems, shared, alone):
+            ref = per_level_scan(etas, step, sc.users, sc.powers, cfg)
+            assert got == one == ref
+
+    def test_unbounded_rows_are_all_scored_in_float64(self, monkeypatch):
+        cfg, users, powers = seeded_instance(3)
+        etas, step = cfg.feasible_etas(), WAVELENGTH / 16
+        pts = position_grid(cfg.y_min, cfg.y_max, step)
+        assert all(b is not None for _, _, b, _ in
+                   screened_rows(pts, etas, users, powers, cfg))
+        scored = []
+
+        def counted(ys, *args):
+            scored.append(len(ys))
+            return combining.point_values(ys, *args)
+
+        monkeypatch.setattr(multiuser, "point_values", counted)
+        with patched_bound(np.inf):
+            got = scan([(etas, cfg)], step, users, powers)
+        assert got == [per_level_scan(etas, step, users, powers, cfg)]
+        assert sum(scored) == got[0][3] == pts.size * len(etas)
+
+    def test_a_zero_bound_loses_a_near_tie_that_the_bound_keeps(self):
+        # one-path users: every row of a level ties up to rounding, and the
+        # float32 maximum is not the float64 one
+        users, powers = flat_users(0)
+        cfg = make_cfg(M=16, N=4, span_wavelengths=20.0)
+        etas, step = cfg.feasible_etas(), WAVELENGTH / 16
+        pts = position_grid(cfg.y_min, cfg.y_max, step)
+        rows = screened_rows(pts, etas, users, powers, cfg)
+        r32 = np.array([vals for _, vals, _, _ in rows])
+        r64 = np.array([exact for _, _, _, exact in rows])
+        assert not (r32 == r32.max())[np.unravel_index(np.argmax(r64), r64.shape)]
+        assert r64.max() - r64.min() > 1.0
+        ref = per_level_scan(etas, step, users, powers, cfg)
+        with patched_bound(0.0):
+            [wrong] = scan([(etas, cfg)], step, users, powers)
+        assert wrong[0] < ref[0] and wrong[1] != ref[1]
+        assert scan([(etas, cfg)], step, users, powers) == [ref]
+
+    @pytest.mark.parametrize("confine", [True, False])
+    def test_an_appended_end_point_can_win(self, confine):
+        # "rising" users (see TestScan) put each level's maximum on its
+        # appended upper end. The smaller region's end is a column past the
+        # shared grid, an off-lattice row that a screened level scores in
+        # float64 with D = 0 (the ends must be off the lattice: on it, the
+        # table's stride would cut every lag run to one row)
+        rng = np.random.default_rng(0)
+        beat = np.pi / 2 + 0.5
+        users = [PathSet(gains=[1.0, 0.7 * np.exp(-1j * beat)], aoas=np.arcsin([s, s + 0.01]))
+                 for s in rng.uniform(-0.5, 0.5, 5)]
+        powers = LinkPowers(p_bar=rng.uniform(0.5, 4.0, 5))
+        d, step = WAVELENGTH / 2, WAVELENGTH / 16
+        problems = []
+        for points in (160, 100):
+            cfg = ArrayConfig(M=16, N=4, wavelength=WAVELENGTH, y_min=0.0,
+                              y_max=(points + 0.37) * step + (15 * d if confine else 0.0),
+                              confine_aperture=confine)
+            problems.append((cfg.feasible_etas(), cfg))
+        pts = position_grid(0.0, problems[0][1].y_max, step)
+        assert all(b is not None for _, _, b, _ in
+                   screened_rows(pts, [1, 2], users, powers, problems[0][1]))
+        for (etas, cfg), got in zip(problems, scan(problems, step, users, powers)):
+            ref = per_level_scan(etas, step, users, powers, cfg)
+            assert ref[1] == cfg.position_bounds(ref[2])[1]
+            assert got == ref
+
+    @pytest.mark.parametrize("K", [1, 3, 4])
+    def test_scans_with_k_at_most_n_stay_in_float64(self, K, monkeypatch):
+        dtypes, batch_sinr = [], combining.batch_sinr
+
+        def seen(H, *args):
+            dtypes.append(np.asarray(H).dtype)
+            return batch_sinr(H, *args)
+
+        monkeypatch.setattr(combining, "batch_sinr", seen)
+        cfg, users, powers = seeded_instance(4, K=K)
+        etas = cfg.feasible_etas()
+        got = scan([(etas, cfg)], WAVELENGTH / 16, users, powers)
+        assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
+        monkeypatch.undo()
+        assert got == [per_level_scan(etas, WAVELENGTH / 16, users, powers, cfg)]
+
+    def test_a_screened_scan_calls_the_kernel_in_float32(self, monkeypatch):
+        dtypes, batch_sinr = [], combining.batch_sinr
+
+        def seen(H, *args):
+            dtypes.append(np.asarray(H).dtype)
+            return batch_sinr(H, *args)
+
+        monkeypatch.setattr(combining, "batch_sinr", seen)
+        cfg, users, powers = seeded_instance(4, K=5)
+        scan([(cfg.feasible_etas(), cfg)], WAVELENGTH / 16, users, powers)
+        assert np.dtype(np.complex64) in dtypes

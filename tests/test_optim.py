@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from gma.optim import GridSpec, level_grids, position_grid, refine
+from gma.optim import GridSpec, grid_end, level_grids, position_grid, refine
 
 from util import WAVELENGTH
 
@@ -35,6 +35,24 @@ class TestLevelGrids:
             assert end.size <= 1 and end.base is None
             rebuilt = np.concatenate([grid[:n], end])
             assert rebuilt.tobytes() == position_grid(lo, hi, step).tobytes()
+
+    @given(seed=st.integers(0, 10 ** 6),
+           step_kind=st.sampled_from(["d/8", "lambda/100", "random"]),
+           k=st.integers(0, 60),
+           kind=st.sampled_from(["on", "clamped", "above", "appended"]),
+           frac=st.floats(0.01, 0.99))
+    def test_grid_end_is_position_grids_size_and_last_point(
+            self, seed, step_kind, k, kind, frac):
+        rng = np.random.default_rng(seed)
+        lo = float(rng.uniform(0.0, 0.1))
+        step = {"d/8": D / 8, "lambda/100": WAVELENGTH / 100,
+                "random": float(rng.uniform(D / 40, D / 4))}[step_kind]
+        hi = max(lo, upper_end(lo, step, k, kind, frac))
+        count, last = grid_end(lo, hi, step)
+        pts = position_grid(lo, hi, step)
+        assert count == pts.size
+        assert np.float64(last).tobytes() == pts[-1].tobytes()
+        assert (lo + step * np.arange(count - 1)).tobytes() == pts[:-1].tobytes()
 
     def test_clamped_and_appended_ends_are_their_upper_ends(self):
         lo, step = 0.03, D / 8
