@@ -187,7 +187,8 @@ def exhaustive_search(users, powers: LinkPowers, cfg: ArrayConfig,
     search level eta on position_grid(*cfg.position_bounds(eta), fine_step).
     Ties resolve toward the smaller sparsity level, then the smaller grid
     index. evals counts the (y, eta) grid points searched, each whether it
-    was scored or, on one user, covered by its level's Gram bound. It is a
+    was scored or, on one user, covered by its level's Gram bound or its
+    cell's curvature bound. It is a
     reference for the optimizers, not a bound on them: they refine between
     its points.
     """

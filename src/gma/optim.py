@@ -91,14 +91,21 @@ def position_grid(lo: float, hi: float, step: float) -> np.ndarray:
     grid_end gives its size and last point without building it.
     """
     count, last = grid_end(lo, hi, step)
-    pts = lo + step * np.arange(count)
+    pts = grid_points(lo, step, np.arange(count))
     pts[-1] = last
     return pts
 
 
+def grid_points(lo: float, step: float, idx) -> np.ndarray:
+    """lo + i*step for each grid index i in idx: the points of every
+    position_grid(lo, hi, step) before its last one, bit for bit."""
+    return lo + step * np.asarray(idx)
+
+
 def grid_end(lo: float, hi: float, step: float) -> tuple[int, float]:
     """(count, last) of position_grid(lo, hi, step): its first count - 1
-    points are lo + i*step, and its last point is last, bit for bit."""
+    points are grid_points(lo, step, range(count - 1)), and its last point
+    is last, bit for bit."""
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:

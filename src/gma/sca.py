@@ -6,12 +6,15 @@ and f(y) the vector of per-path position phases. One arithmetic path scores
 that quantity: pair products of the phases (_pair_products), summed per
 level with its Gram entries (_level_sum). snr_profile scores SCA's grids
 and its sparsity search with it. snr_scan, the single-user grid search (SCA's
-start and the K = 1 oracle), scores with it too, and skips each level once
+start and the K = 1 oracle), scores with it too. It skips each level once
 the level's Gram bound p_bar*sum_ij |G_ij| falls below the best value found
-(branch and bound over eta); its result is that of scoring every point. The
-position subproblem is solved by ascending a concave quadratic minorant
-(successive convex approximation); the sparsity subproblem by exhaustive
-discrete search; the two alternate until the objective stalls.
+(branch and bound over eta), and within a level it scores a coarse pass of
+knots about wavelength/8 apart, then only the cells between knots that a
+curvature bound cannot rule out (branch and bound over y). Its result is
+that of scoring every point. The position subproblem is solved by
+ascending a concave quadratic minorant (successive convex approximation);
+the sparsity subproblem by exhaustive discrete search; the two alternate
+until the objective stalls.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrays import ArrayConfig, PathSet, path_phases, sparse_steering_matrix
-from .optim import GmaSolution, OptimizerSettings, level_grids, position_grid
+from .optim import (GmaSolution, OptimizerSettings, grid_end, grid_points,
+                    position_grid)
 
 
 def path_matrix(eta: int, paths: PathSet, cfg: ArrayConfig) -> np.ndarray:
@@ -59,6 +63,7 @@ def _pair_products(y_values: np.ndarray, paths: PathSet,
     """
     f = path_phases(y_values, paths.aoas, cfg).T  # (L, B)
     re, im = f.real.copy(), f.imag.copy()
+    del f  # before the pairs are allocated: a block's peak memory
     i, j = _path_pairs(paths.L)
     pairs = np.empty((2 * i.size, y_values.size))
     for p, (a, b) in enumerate(zip(i, j)):
@@ -72,21 +77,39 @@ class _Level(NamedTuple):
 
     weights are 2*Re(G_ij), then -2*Im(G_ij), for i < j, in the row order of
     _pair_products. bound = trace + sum_ij |2*G_ij| is at least ||A f||^2 at
-    every position, since the phases f_i have unit modulus.
+    every position, since the phases f_i have unit modulus. ||A f(y)||^2 is
+    a trigonometric polynomial in y, so curvature =
+    sum_ij |2*G_ij|*(k0*(sin(aoa_j) - sin(aoa_i)))^2 bounds its second
+    derivative, k0 = 2*pi/wavelength.
     """
 
     trace: float
     weights: list[float]
     bound: float
+    curvature: float
 
 
 def _gram_level(eta: int, paths: PathSet, cfg: ArrayConfig) -> _Level:
     A = path_matrix(eta, paths, cfg)
     gram = A.conj().T @ A
-    g = 2.0 * gram[_path_pairs(paths.L)]
+    i, j = _path_pairs(paths.L)
+    g = 2.0 * gram[i, j]
+    abs_g = np.abs(g)
+    freq = (2.0 * np.pi / cfg.wavelength) * np.sin(paths.aoas)
     trace = float(np.real(np.trace(gram)))
     return _Level(trace, np.concatenate([g.real, -g.imag]).tolist(),
-                  trace + float(np.sum(np.abs(g))))
+                  trace + float(np.sum(abs_g)),
+                  float(np.sum(abs_g * (freq[j] - freq[i]) ** 2)))
+
+
+def _level(eta: int, paths: PathSet, cfg: ArrayConfig,
+           levels: dict | None) -> _Level:
+    """_gram_level(eta, ...), kept in levels when a caller shares one."""
+    if levels is None:
+        return _gram_level(eta, paths, cfg)
+    if eta not in levels:
+        levels[eta] = _gram_level(eta, paths, cfg)
+    return levels[eta]
 
 
 def _level_sum(out: np.ndarray, level: _Level, pairs: np.ndarray,
@@ -100,7 +123,7 @@ def _level_sum(out: np.ndarray, level: _Level, pairs: np.ndarray,
 
 
 def snr_profile(y_values, etas, paths: PathSet, cfg: ArrayConfig,
-                p_bar: float = 1.0) -> np.ndarray:
+                p_bar: float = 1.0, _levels: dict | None = None) -> np.ndarray:
     """p_bar*||A(eta) f(y)||^2 at each level in etas over a batch of
     positions, shape (len(etas), B).
 
@@ -109,79 +132,148 @@ def snr_profile(y_values, etas, paths: PathSet, cfg: ArrayConfig,
     the eta-independent pair products once, and each level sums them with
     its Gram entries in a fixed order (_level_sum), so a value does not
     depend on its batch (a BLAS matvec rounds a column by its place in the
-    batch).
+    batch). _levels, when given, holds the levels' Gram terms across calls.
     """
     y_values = np.atleast_1d(np.asarray(y_values, dtype=np.float64))
     pairs = _pair_products(y_values, paths, cfg)
     out = np.empty((len(etas), y_values.size))
     for row, eta in zip(out, etas):
-        _level_sum(row, _gram_level(eta, paths, cfg), pairs, p_bar)
+        _level_sum(row, _level(eta, paths, cfg, _levels), pairs, p_bar)
     return out
 
 
-_BLOCK_ENTRIES = 1 << 16  # pair products plus the level row per snr_scan block
+_BLOCK_ENTRIES = 1 << 15  # pair products plus the level row per snr_scan block
 _BOUND_MARGIN = 1e-9  # relative; rounding moves a value by under 1e-13 of its bound
+_CELL_WAVELENGTHS = 1 / 8  # width of snr_scan's coarse cells
+
+
+def _runs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The integers of the ranges [a[k], b[k]), concatenated in order."""
+    n = b - a
+    return np.arange(n.sum()) + np.repeat(a - (np.cumsum(n) - n), n)
 
 
 def snr_scan(paths: PathSet, cfg: ArrayConfig, step: float,
-             p_bar: float = 1.0) -> tuple[float, float, int, int]:
+             p_bar: float = 1.0, _levels: dict | None = None
+             ) -> tuple[float, float, int, int]:
     """Grid maximum (value, y, eta, evals) of p_bar*||A(eta) f(y)||^2.
 
-    Level eta is searched on position_grid(*cfg.position_bounds(eta), step),
-    taken from optim.level_grids: a prefix of the grid of the largest upper
-    end, scored in blocks of at most _BLOCK_ENTRIES pair products and level
-    values, plus at most one end point, scored after the blocks.
+    Level eta is searched on position_grid(*cfg.position_bounds(eta), step).
+    No grid is built: its points come from optim.grid_end and grid_points.
+    Pair products are formed in blocks of at most _BLOCK_ENTRIES pair
+    products and level values.
 
     Branch and bound over the levels: no value of level eta exceeds
-    b(eta) = p_bar*(sum_ij |G_ij(eta)|). A block visits its levels in
-    decreasing b(eta) and skips a level, its upper end included, once
-    b(eta)*(1 + _BOUND_MARGIN) is below the best value scored so far; such a
-    level can neither win nor tie. The result is that of scoring every
-    point: ties go to the smaller eta, then the smaller index, and evals
-    sums the grid sizes, each point counted whether it was scored or
-    covered by its level's bound.
+    b(eta) = p_bar*(sum_ij |G_ij(eta)|). Levels are visited in decreasing
+    b(eta), and a level is skipped once b(eta)*(1 + _BOUND_MARGIN) is below
+    the best value scored so far; such a level can neither win nor tie.
+
+    Branch and bound over positions: a coarse pass scores each level's
+    knots, every c-th point of its grid (c grid steps make about
+    _CELL_WAVELENGTHS; c = 1 makes every point a knot), then its last point.
+    snr is a trigonometric polynomial in y with |snr''| <= M2 =
+    p_bar*curvature, so in a cell [a, b] between knots, H = y_b - y_a,
+    snr <= max(snr(a), snr(b)) + M2*H^2/8, the error bound of linear
+    interpolation. A computed value is within 1e-13*b(eta) of the exact one
+    at its y, and the rounding of M2*H^2/8 is smaller still, so a cell whose
+    computed max(v_a, v_b) + M2*H^2/8 + 2*_BOUND_MARGIN*b(eta) is below the
+    best value scored holds no point that can win or tie. Only the inside
+    points of the other cells are scored.
+
+    The result is that of scoring every point: each level keeps its first
+    maximum by grid index, ties go to the smaller eta, and evals sums the
+    grid sizes, each point counted whether it was scored or covered by its
+    level's or its cell's bound. _levels, when given, holds the levels'
+    Gram terms across calls.
     """
     etas = cfg.feasible_etas()
     if not etas:
         raise ValueError("movable region admits no feasible sparsity level")
-    pts, parts = level_grids(cfg.y_min,
-                             [cfg.position_bounds(eta)[1] for eta in etas], step)
-    size, ends = ({eta: part[k] for eta, part in zip(etas, parts)} for k in (0, 1))
-    levels = {eta: _gram_level(eta, paths, cfg) for eta in etas}
+    lo = cfg.y_min
+    size, last = zip(*(grid_end(lo, cfg.position_bounds(eta)[1], step)
+                       for eta in etas))
+    size, last = dict(zip(etas, size)), dict(zip(etas, last))
+    levels = {eta: _level(eta, paths, cfg, _levels) for eta in etas}
     ceiling = {eta: p_bar * levels[eta].bound * (1.0 + _BOUND_MARGIN)
                for eta in etas}  # b(eta) with its margin
     order = sorted(etas, key=lambda e: -ceiling[e])
-    best = {}  # level -> (value, y) of its first maximum among scored points
+    c = max(1, round(_CELL_WAVELENGTHS * cfg.wavelength / step))
+    knots = {n: np.append(np.arange(0, n - 1, c), n - 1)
+             for n in set(size.values())}  # grid indices, by grid size
+    knots = {eta: knots[size[eta]] for eta in etas}
+    strided = {eta: knots[eta].size - 1 for eta in etas}  # knots 0, c, ...
+    knot_vals = {}  # level -> its values at its knots, once it is scored
+    best = {}  # level -> (value, -index, y) of its first maximum among scored points
     top = -np.inf  # best value scored so far
 
-    def score(eta, ys, pairs, out):
+    def score(eta, idx, ys, pairs, out=None):
         nonlocal top
+        out = np.empty(ys.size) if out is None else out
         _level_sum(out, levels[eta], pairs, p_bar)
         i = int(np.argmax(out))
-        if eta not in best or out[i] > best[eta][0]:
-            best[eta] = (float(out[i]), float(ys[i]))
-            top = max(top, best[eta][0])
+        point = (float(out[i]), -int(idx[i]))
+        if eta not in best or point > best[eta][:2]:
+            best[eta] = (*point, float(ys[i]))
+            top = max(top, point[0])
+
+    def values(eta):
+        if eta not in knot_vals:
+            knot_vals[eta] = np.empty(knots[eta].size)
+        return knot_vals[eta]
 
     live = order
     block = max(1, _BLOCK_ENTRIES // (paths.L * (paths.L - 1) + 1))
-    row = np.empty(min(block, pts.size))
-    for start in range(0, max(size.values()), block):
-        live = [eta for eta in live if size[eta] > start and ceiling[eta] >= top]
+    for start in range(0, max(strided.values()), block):
+        live = [eta for eta in live if strided[eta] > start and ceiling[eta] >= top]
         if not live:
             break
-        ys = pts[start:min(start + block, max(size[eta] for eta in live))]
+        idx = c * np.arange(start, min(start + block,
+                                       max(strided[eta] for eta in live)))
+        ys = grid_points(lo, step, idx)
         pairs = _pair_products(ys, paths, cfg)
         for eta in live:
             if ceiling[eta] < top:
                 break  # and every level after it
-            n = min(size[eta] - start, ys.size)
-            score(eta, ys[:n], pairs[:, :n], row[:n])
+            n = min(strided[eta] - start, ys.size)
+            score(eta, idx[:n], ys[:n], pairs[:, :n], values(eta)[start:start + n])
+    tails = [eta for eta in order if ceiling[eta] >= top]  # their last points
+    ys = np.array([last[eta] for eta in tails])
+    pairs = _pair_products(ys, paths, cfg)
+    for j, eta in enumerate(tails):
+        if ceiling[eta] >= top:
+            score(eta, [size[eta] - 1], ys[j:j + 1], pairs[:, j:j + 1],
+                  values(eta)[-1:])
+    need = {}  # level -> grid indices inside the cells its bound keeps
     for eta in order:
-        if ends[eta].size and ceiling[eta] >= top:
-            score(eta, ends[eta], _pair_products(ends[eta], paths, cfg),
-                  np.empty(ends[eta].size))
+        if ceiling[eta] < top:
+            break
+        a, b, v, level = knots[eta][:-1], knots[eta][1:], knot_vals[eta], levels[eta]
+        y = np.append(grid_points(lo, step, a), last[eta])
+        h = y[1:] - y[:-1]
+        reach = (np.maximum(v[:-1], v[1:]) + (p_bar * level.curvature / 8.0) * h * h
+                 + 2.0 * _BOUND_MARGIN * p_bar * level.bound)
+        cells = (reach >= top) & (b - a > 1)
+        if cells.any():
+            need[eta] = _runs(a[cells] + 1, b[cells])
+    if need:
+        union = np.sort(np.concatenate(list(need.values())))
+        union = union[np.append(True, union[1:] != union[:-1])]
+        cols = {eta: np.searchsorted(union, idx) for eta, idx in need.items()}
+        for start in range(0, union.size, block):
+            stop = min(start + block, union.size)
+            ys = grid_points(lo, step, union[start:stop])
+            pairs = _pair_products(ys, paths, cfg)
+            for eta, col in cols.items():
+                i, j = np.searchsorted(col, [start, stop])
+                if i == j or ceiling[eta] < top:
+                    continue
+                at = col[i:j] - start
+                if at.size == ys.size:
+                    score(eta, need[eta][i:j], ys, pairs)
+                else:
+                    score(eta, need[eta][i:j], ys[at], pairs[:, at])
     eta = max((e for e in etas if e in best), key=lambda e: best[e][0])
-    return (*best[eta], eta, sum(size[e] + ends[e].size for e in etas))
+    return best[eta][0], best[eta][2], eta, sum(size.values())
 
 
 @dataclass(frozen=True)
@@ -259,13 +351,14 @@ def optimize_position_sca(eta: int, paths: PathSet, y0: float,
     return state.y_j, state.objective, trace
 
 
-def optimize_sparsity(y: float, paths: PathSet, cfg: ArrayConfig
-                      ) -> tuple[int, float]:
-    """Exhaustive sparsity search at fixed y; ties go to the smaller eta."""
+def optimize_sparsity(y: float, paths: PathSet, cfg: ArrayConfig,
+                      _levels: dict | None = None) -> tuple[int, float]:
+    """Exhaustive sparsity search at fixed y; ties go to the smaller eta.
+    _levels, when given, holds the levels' Gram terms across calls."""
     etas = cfg.feasible_etas(y)
     if not etas:
         raise ValueError(f"no feasible sparsity level at y = {y}")
-    vals = snr_profile([y], etas, paths, cfg)[:, 0]
+    vals = snr_profile([y], etas, paths, cfg, _levels=_levels)[:, 0]
     i = int(np.argmax(vals))
     return etas[i], float(vals[i])
 
@@ -282,10 +375,12 @@ def optimize_single_user(paths: PathSet, settings: OptimizerSettings,
     Each subsequent round seeds the position subproblem from the same grid
     plus the incumbent, runs the surrogate ascent, then re-optimizes the
     sparsity at the new position. Rounds stop when the fractional
-    objective increase drops below settings.epsilon.
+    objective increase drops below settings.epsilon. Each level's Gram
+    terms are built once per call and shared by every scan and search.
     """
     step = cfg.wavelength / 4.0
-    best_val, best_y, best_eta, evals = snr_scan(paths, cfg, step)
+    levels: dict = {}
+    best_val, best_y, best_eta, evals = snr_scan(paths, cfg, step, _levels=levels)
     prev, y, eta = best_val, best_y, best_eta
     trace: list[float] = []
     sca_iters: list[int] = []
@@ -296,13 +391,13 @@ def optimize_single_user(paths: PathSet, settings: OptimizerSettings,
             y0 = y  # the initialization scan already found the coarse argmax
         else:
             cand = np.append(position_grid(*cfg.position_bounds(eta), step), y)
-            vals = snr_profile(cand, [eta], paths, cfg)[0]
+            vals = snr_profile(cand, [eta], paths, cfg, _levels=levels)[0]
             evals += cand.size
             y0 = float(cand[int(np.argmax(vals))])
         y_r, _, sca_trace = optimize_position_sca(eta, paths, y0, settings, cfg)
         evals += len(sca_trace)
         sca_iters.append(len(sca_trace) - 1)
-        eta_r, obj_full = optimize_sparsity(y_r, paths, cfg)
+        eta_r, obj_full = optimize_sparsity(y_r, paths, cfg, levels)
         evals += len(cfg.feasible_etas(y_r))
         if obj_full > best_val:
             best_val, best_y, best_eta = obj_full, y_r, eta_r

@@ -67,17 +67,24 @@ class TestPathMatrix:
         np.testing.assert_allclose(prof, expected, rtol=1e-9)
 
 
-def per_level_snr_scan(paths, cfg, step, p_bar):
-    """(value, y, eta, evals) of the single-user grid, one level at a time."""
-    best, evals = (-np.inf, None, None), 0
-    for eta in cfg.feasible_etas():
-        grid = position_grid(*cfg.position_bounds(eta), step)
-        vals = snr_profile(grid, [eta], paths, cfg, p_bar)[0]
-        evals += grid.size
-        i = int(np.argmax(vals))
-        if vals[i] > best[0]:
-            best = (float(vals[i]), float(grid[i]), eta)
-    return (*best, evals)
+def per_level_snr_scan(paths, cfg, step, p_bar, chunk=1 << 14):
+    """(value, y, eta, evals) of the single-user grid, one level at a time,
+    every point scored. Levels with one grid share its pair products, which
+    are formed in chunks of positions."""
+    etas = cfg.feasible_etas()
+    by_level = {}  # eta -> (value, y) of its first maximum
+    for bounds in dict.fromkeys(cfg.position_bounds(eta) for eta in etas):
+        grid = position_grid(*bounds, step)
+        group = [eta for eta in etas if cfg.position_bounds(eta) == bounds]
+        for start in range(0, grid.size, chunk):
+            vals = snr_profile(grid[start:start + chunk], group, paths, cfg, p_bar)
+            for eta, row in zip(group, vals):
+                i = int(np.argmax(row))
+                if eta not in by_level or row[i] > by_level[eta][0]:
+                    by_level[eta] = (float(row[i]), float(grid[start + i]))
+        by_level.update({eta: (*by_level[eta], grid.size) for eta in group})
+    eta = max(etas, key=lambda e: by_level[e][0])
+    return (*by_level[eta][:2], eta, sum(by_level[e][2] for e in etas))
 
 
 # p_bar: 0 and log-uniform over [1e-6, 1e12]
@@ -122,6 +129,23 @@ def scan_case(seed, L, M, mult, confine, shape, step_kind):
     return cfg, paths, step
 
 
+def pair_columns(monkeypatch) -> list[int]:
+    """A one-entry list that counts the positions _pair_products forms."""
+    cols, pair_products = [0], sca._pair_products
+
+    def counting(y_values, *args):
+        cols[0] += y_values.size
+        return pair_products(y_values, *args)
+
+    monkeypatch.setattr(sca, "_pair_products", counting)
+    return cols
+
+
+def cell_width(steps, step):
+    """The _CELL_WAVELENGTHS that makes snr_scan's cells steps grid steps."""
+    return steps * step / WAVELENGTH
+
+
 def summed_rows(monkeypatch) -> list[int]:
     """A one-entry list that counts the level values _level_sum writes."""
     rows, level_sum = [0], sca._level_sum
@@ -135,12 +159,17 @@ def summed_rows(monkeypatch) -> list[int]:
 
 
 class TestSnrScan:
-    @given(L=st.integers(1, 4), cap=st.sampled_from([1, 9, 40]), **SCAN_CASES)
+    @given(L=st.integers(1, 4), cap=st.sampled_from([1, 9, 40, 1 << 16]),
+           cells=st.sampled_from([None, 2, 3, 7]), **SCAN_CASES)
     def test_blocks_equal_the_per_level_loop(self, seed, L, M, mult, confine,
-                                             shape, step_kind, p_bar, cap):
-        # a small entry cap puts block edges inside every level
+                                             shape, step_kind, p_bar, cap,
+                                             cells):
+        # a small entry cap puts block edges inside every level; cells of a
+        # few steps put cell edges everywhere, None keeps the default width
         cfg, paths, step = scan_case(seed, L, M, mult, confine, shape, step_kind)
-        with mock.patch.object(sca, "_BLOCK_ENTRIES", cap):
+        width = sca._CELL_WAVELENGTHS if cells is None else cell_width(cells, step)
+        with mock.patch.object(sca, "_BLOCK_ENTRIES", cap), \
+                mock.patch.object(sca, "_CELL_WAVELENGTHS", width):
             got = snr_scan(paths, cfg, step, p_bar)
         assert got == per_level_snr_scan(paths, cfg, step, p_bar)
         if shape == "flat":
@@ -160,6 +189,33 @@ class TestSnrScan:
                                [eta], paths, cfg, p_bar)[0]
             assert np.all(vals <= p_bar * bound * (1 + sca._BOUND_MARGIN))
 
+    @given(L=st.integers(1, 6), cells=st.sampled_from([None, 2, 3, 7]),
+           **SCAN_CASES)
+    def test_cell_bound_covers_every_value(self, seed, L, M, mult, confine,
+                                           shape, step_kind, p_bar, cells):
+        # the bound max(v_a, v_b) + M2*H^2/8 + 2*margin*b(eta) that lets
+        # snr_scan skip the inside of a cell [a, b], over every cell of every
+        # level's grid, the last one up to its end point included
+        cfg, paths, step = scan_case(seed, L, M, mult, confine, shape, step_kind)
+        c = cells or max(1, round(sca._CELL_WAVELENGTHS * WAVELENGTH / step))
+        freq = 2 * np.pi / WAVELENGTH * np.sin(paths.aoas)
+        for eta in cfg.feasible_etas():
+            A = path_matrix(eta, paths, cfg)
+            level = sca._gram_level(eta, paths, cfg)
+            np.testing.assert_allclose(
+                level.curvature,
+                np.sum(np.abs(A.conj().T @ A) * np.subtract.outer(freq, freq) ** 2),
+                rtol=1e-12)
+            grid = position_grid(*cfg.position_bounds(eta), step)
+            vals = snr_profile(grid, [eta], paths, cfg, p_bar)[0]
+            knots = np.append(np.arange(0, grid.size - 1, c), grid.size - 1)
+            margin = 2 * sca._BOUND_MARGIN * p_bar * level.bound
+            for a, b in zip(knots[:-1], knots[1:]):
+                h = grid[b] - grid[a]
+                reach = (max(vals[a], vals[b])
+                         + p_bar * level.curvature / 8 * h * h + margin)
+                assert np.all(vals[a + 1:b] <= reach)
+
     def test_default_trial_sums_few_level_rows(self, monkeypatch):
         sc = sample_scenario(ScenarioParams(K=1), 0)
         cfg, paths, p_bar = sc.cfg, sc.users[0], float(sc.powers.p_bar[0])
@@ -169,6 +225,73 @@ class TestSnrScan:
         grid = position_grid(cfg.y_min, cfg.y_max, step)
         assert rows[0] < 0.2 * len(cfg.feasible_etas()) * grid.size
         assert got == per_level_snr_scan(paths, cfg, step, p_bar)
+
+    @pytest.mark.parametrize("fine", [100, 1000])
+    def test_default_trial_forms_few_pair_products(self, monkeypatch, fine):
+        # the cell bound leaves few positions to score between the knots
+        sc = sample_scenario(ScenarioParams(K=1), 0)
+        cfg, paths, p_bar = sc.cfg, sc.users[0], float(sc.powers.p_bar[0])
+        step = cfg.wavelength / fine
+        cols = pair_columns(monkeypatch)
+        got = snr_scan(paths, cfg, step, p_bar)
+        grid_size = position_grid(cfg.y_min, cfg.y_max, step).size
+        assert cols[0] < {100: 0.2, 1000: 0.1}[fine] * grid_size
+        assert got == per_level_snr_scan(paths, cfg, step, p_bar)
+
+    def test_interior_first_maximum_beats_a_later_knot(self):
+        # two paths, one broadside, with a real Gram entry: the level-1 SNR
+        # is even in y, so the grid points -step/2 and +step/2 (indices 1
+        # and 2) tie bit for bit at the level's maximum. Index 2 is a knot
+        # of 2-step cells, scored before index 1; the first maximum wins.
+        step = 2.0 ** -10
+        y_min = -1.5 * step
+        cfg = ArrayConfig(M=8, N=4, wavelength=WAVELENGTH, y_min=y_min,
+                          y_max=y_min + 16 * step)
+        aoas = np.arcsin([0.0, 2e-3])
+        A = path_matrix(1, PathSet(gains=[1.0, 1.0], aoas=aoas), cfg)
+        g12 = (A.conj().T @ A)[0, 1]
+        paths = PathSet(gains=[1.0, 0.9 * np.exp(-1j * np.angle(g12))], aoas=aoas)
+        grid = position_grid(cfg.y_min, cfg.y_max, step)
+        vals = snr_profile(grid, [1], paths, cfg)[0]
+        assert vals[1] == vals[2] == vals.max() > vals[0]
+        with mock.patch.object(sca, "_CELL_WAVELENGTHS", cell_width(2, step)):
+            got = snr_scan(paths, cfg, step)
+        assert got[1:3] == (grid[1], 1)
+        assert got == per_level_snr_scan(paths, cfg, step, 1.0)
+
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_rounding_margin_keeps_cells_of_twin_paths(self, L):
+        # paths on one AoA with one gain phase: M2 = 0 and every value is the
+        # level's bound up to rounding, so the first maximum is an interior
+        # point up to an ulp above every knot, and only the margin term
+        # 2*_BOUND_MARGIN*b(eta) keeps its cell
+        paths = PathSet(gains=np.linspace(1.0, 0.5, L) * np.exp(0.3j),
+                        aoas=np.full(L, 0.4))
+        cfg = make_cfg(M=16, N=4, span_wavelengths=2.0)
+        step = WAVELENGTH / 100
+        assert snr_scan(paths, cfg, step) == per_level_snr_scan(paths, cfg, step, 1.0)
+
+    def test_cell_bound_keeps_a_peak_between_knots(self):
+        # one level, one path pair: the SNR peaks at y = 0, the middle of the
+        # cell between knots -8 and +8 steps, and has its next peak near the
+        # knot at +40 steps. That knot beats both ends of the first cell, so
+        # only the full curvature term M2*H^2/8 keeps the peak's cell.
+        step = 2.0 ** -10
+        cfg = ArrayConfig(M=4, N=4, wavelength=WAVELENGTH, y_min=-8 * step,
+                          y_max=56 * step)
+        aoas = np.arcsin([0.0, WAVELENGTH / (40.3 * step)])
+        A = path_matrix(1, PathSet(gains=[1.0, 1.0], aoas=aoas), cfg)
+        g12 = (A.conj().T @ A)[0, 1]
+        paths = PathSet(gains=[1.0, np.exp(-1j * np.angle(g12))], aoas=aoas)
+        grid = position_grid(cfg.y_min, cfg.y_max, step)
+        vals = snr_profile(grid, [1], paths, cfg)[0]
+        level = sca._gram_level(1, paths, cfg)
+        half = level.curvature * (grid[16] - grid[0]) ** 2 / 16
+        assert max(vals[0], vals[16]) + half < vals[48] < vals[8] == vals.max()
+        with mock.patch.object(sca, "_CELL_WAVELENGTHS", cell_width(16, step)):
+            got = snr_scan(paths, cfg, step)
+        assert got[1:3] == (0.0, 1)
+        assert got == per_level_snr_scan(paths, cfg, step, 1.0)
 
     @pytest.mark.parametrize("L", [1, 3])
     @pytest.mark.parametrize("confine", [False, True])
@@ -449,6 +572,23 @@ class TestOptimizeSingleUser:
             loose = optimize_single_user(ps, OptimizerSettings(epsilon=1e-4), cfg)
             tight = optimize_single_user(ps, OptimizerSettings(epsilon=1e-8), cfg)
             assert loose.objective <= tight.objective * (1 + 1e-6)
+
+    def test_builds_each_level_once(self, monkeypatch):
+        # the start scan, the candidate grids and the sparsity searches share
+        # one set of Gram terms, which gives the result of building them anew
+        sc = sample_scenario(ScenarioParams(K=1), 0)
+        cfg, paths, p_bar = sc.cfg, sc.users[0], float(sc.powers.p_bar[0])
+        level = sca._level
+        monkeypatch.setattr(sca, "_level",
+                            lambda eta, paths, cfg, levels: level(eta, paths, cfg, None))
+        fresh = optimize_single_user(paths, SETTINGS, cfg, p_bar)
+        monkeypatch.setattr(sca, "_level", level)
+        builds, gram_level = [], sca._gram_level
+        monkeypatch.setattr(sca, "_gram_level",
+                            lambda eta, *args: builds.append(eta) or gram_level(eta, *args))
+        sol = optimize_single_user(paths, SETTINGS, cfg, p_bar)
+        assert sol == fresh and sol.rounds > 1
+        assert sorted(builds) == cfg.feasible_etas()
 
     def test_trace_is_scaled_and_monotone(self, cfg_small, rng):
         ps = random_paths(rng, L=3)
