@@ -19,7 +19,7 @@ from .multiuser import grid_position_search, optimize_multiuser, sparsity_search
 from .optim import GmaSolution, GridSpec, OptimizerSettings
 from .scenario import Scenario, ScenarioParams, sample_scenario
 from .sca import (optimize_position_sca, optimize_single_user,
-                  optimize_sparsity, path_matrix, phase_vector)
+                  optimize_sparsity, path_matrix)
 
 __all__ = [
     "ArrayConfig", "GmaSolution", "GridSpec", "LandscapeResult", "LinkPowers",
@@ -28,6 +28,5 @@ __all__ = [
     "grid_position_search", "landscape", "ma_optimize", "max_sparsity",
     "objective_metric", "optimize_multiuser", "optimize_position_sca",
     "optimize_single_user", "optimize_sparsity", "path_matrix",
-    "phase_vector", "run_compare", "run_sweep", "sample_scenario",
-    "sparsity_search",
+    "run_compare", "run_sweep", "sample_scenario", "sparsity_search",
 ]

@@ -6,9 +6,10 @@ at the bottom of the movable region. The movable-antenna (MA) benchmark
 lets each of the N elements move independently, subject to a half-wavelength
 minimum spacing, over the span the group array can physically reach; it is
 optimized by cyclic coordinate ascent. The grid search (the "oracle"
-scheme) scans the full (position, sparsity) product grid: sca.snr_scan for
-one user, multiuser.scan for several. It is a reference, not a bound: the
-optimizers refine between its points and can score above it.
+scheme) scans the full (position, sparsity) product grid with the scans the
+GMA optimizers start from, sca.snr_scan for one user and multiuser.scan for
+several, at a finer step (wavelength/1000 by default). It is a reference,
+not a bound: the optimizers refine between its points and can score above it.
 """
 
 from __future__ import annotations
@@ -179,18 +180,16 @@ def _slot_scan(pos, n, lo_n, hi_n, step, val, users, powers, cfg, grid):
 
 
 def exhaustive_search(users, powers: LinkPowers, cfg: ArrayConfig,
-                      fine_step: float) -> tuple[float, int, float, int]:
+                      fine_step: float, _levels: dict | None = None
+                      ) -> tuple[float, int, float, int]:
     """Grid search: best (y, eta, metric, evals) over the full
-    position-sparsity product grid.
-
-    One user is scanned by sca.snr_scan, several by multiuser.scan; both
-    search level eta on position_grid(*cfg.position_bounds(eta), fine_step).
-    Ties resolve toward the smaller sparsity level, then the smaller grid
-    index. evals counts the (y, eta) grid points searched, each whether it
-    was scored or, on one user, covered by its level's Gram bound or its
-    cell's curvature bound. It is a
-    reference for the optimizers, not a bound on them: they refine between
-    its points.
+    position-sparsity product grid, level eta on
+    position_grid(*cfg.position_bounds(eta), fine_step): sca.snr_scan for one
+    user, multiuser.scan for several. Ties go to the smaller eta, then the
+    smaller grid index. evals counts every grid point, scored or, on one
+    user, covered by a Gram or curvature bound. _levels, when given, holds
+    one user's Gram terms across calls, as optimize_single_user's. It is a
+    reference for the optimizers, not a bound: they refine between its points.
     """
     if not fine_step > 0:
         raise ValueError(f"grid step must be positive, got {fine_step}")
@@ -199,7 +198,7 @@ def exhaustive_search(users, powers: LinkPowers, cfg: ArrayConfig,
         raise ValueError("movable region admits no feasible sparsity level")
     if powers.K == 1:
         val, y, eta, evals = snr_scan(users[0], cfg, fine_step,
-                                      float(powers.p_bar[0]))
+                                      float(powers.p_bar[0]), _levels)
     else:
         val, y, eta, evals = scan([(feas, cfg)], fine_step, users, powers)[0]
     return y, eta, val, evals

@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, text in (
         ("landscape", "metric over the full (position, sparsity) grid"),
-        ("single-user", "single-user optimizer (surrogate ascent) over trials"),
+        ("single-user", "single-user alternating search over trials"),
         ("multi-user", "multi-user alternating search over trials"),
         ("sweep", "movable-region and array-size sweep"),
         ("compare", "scheme comparison (gma/fpa/ma, oracle grid search) over trials"),
@@ -118,11 +118,19 @@ def _force_single_user(params: ScenarioParams) -> ScenarioParams:
 
 
 def _print_scheme_means(records):
-    by_scheme: dict[str, list[float]] = {}
+    by_scheme: dict[str, list] = {}
     for rec in records:
-        by_scheme.setdefault(rec.scheme, []).append(rec.metric)
-    for scheme, vals in by_scheme.items():
-        print(f"{scheme}: mean metric {np.mean(vals):.6g} over {len(vals)} trials")
+        by_scheme.setdefault(rec.scheme, []).append(rec)
+    for scheme, recs in by_scheme.items():
+        print(f"{scheme}: mean metric {np.mean([r.metric for r in recs]):.6g} "
+              f"over {len(recs)} trials")
+    if "gma" in by_scheme and "oracle" in by_scheme:
+        single = records[0].K == 1
+        gaps = [10.0 * np.log10(o.metric / g.metric) if single else o.metric - g.metric
+                for g, o in zip(by_scheme["gma"], by_scheme["oracle"])]
+        print(f"oracle - gma gap per trial ({'dB' if single else 'bits/s/Hz'}): "
+              f"median {np.median(gaps):.4f}, max {max(gaps):.4f}, "
+              f"{sum(gap > 0.01 for gap in gaps)} of {len(gaps)} above 0.01")
 
 
 def main(argv=None) -> int:

@@ -186,6 +186,9 @@ def run_trial_schemes(scenario: Scenario, schemes,
                       scores: PointScores | None = None) -> list[TrialRecord]:
     """Run the requested schemes on one scenario.
 
+    K picks the GMA search: sca.optimize_single_user for one user, whose
+    Gram terms the oracle reuses (its wall_ms leaves them out), and
+    optimize_multiuser for several; single_user_sca only asserts K = 1.
     lattice, when given, is the multi-user GMA's scan result for this
     scenario (see optimize_multiuser). scores is the trial's memo of the
     scenario's (y, eta) values, which the multi-user GMA and FPA read; None
@@ -200,19 +203,19 @@ def run_trial_schemes(scenario: Scenario, schemes,
         raise ValueError("the SCA optimizer handles a single user")
     cfg, users, powers = scenario.cfg, scenario.users, scenario.powers
     scores = PointScores.over(users, powers, scores)
+    levels: dict = {}  # one user's Gram terms, shared by gma and oracle
     records = []
     gma_solution = None
     for scheme in schemes:
         t0 = time.perf_counter()
         layout = None
         if scheme == "gma":
-            if single_user_sca:
-                sol = optimize_single_user(users[0], settings, cfg,
-                                           p_bar=float(powers.p_bar[0]))
-                # store the record metric through the shared evaluation
-                # kernel so it re-evaluates bit-identically
-                metric = objective_metric(sol.y_star, sol.eta_star, users,
-                                          powers, cfg)
+            if scenario.K == 1:
+                sol = optimize_single_user(
+                    users[0], settings, cfg, p_bar=float(powers.p_bar[0]),
+                    grid=grid, extra_candidates=extra_candidates, _levels=levels)
+                # stored through the shared kernel: re-evaluates bit-identically
+                metric = objective_metric(sol.y_star, sol.eta_star, users, powers, cfg)
             else:
                 sol = optimize_multiuser(users, powers, cfg, grid, settings,
                                          extra_candidates=extra_candidates,
@@ -233,7 +236,8 @@ def run_trial_schemes(scenario: Scenario, schemes,
             y, eta, layout = float(ma.positions[0]), None, tuple(ma.positions)
         else:  # oracle
             step = oracle_step if oracle_step is not None else cfg.wavelength / 1000.0
-            y, eta, _, evals = exhaustive_search(users, powers, cfg, step)
+            y, eta, _, evals = exhaustive_search(users, powers, cfg, step,
+                                                 _levels=levels)
             # record through the shared kernel for bit-identical re-evaluation
             metric = objective_metric(y, eta, users, powers, cfg)
         wall = (time.perf_counter() - t0) * 1e3
@@ -275,9 +279,9 @@ def run_sweep(params: ScenarioParams, settings: OptimizerSettings,
     the per-trial metric monotone along both sweep axes. oracle_step and
     ma_restarts reach every problem's run_trial_schemes.
 
-    The problems of a trial share their users and powers, so one
-    multiuser.scan per trial scores all their lattices, and each GMA run
-    starts from its share. After the scan, the trial's problems share one
+    The problems of a trial share their users and powers, so on several
+    users one multiuser.scan per trial scores all their lattices, and each
+    GMA run starts from its share. After the scan, the trial's problems share one
     combining.PointScores memo, so a (y, eta) point is scored once per
     trial; it is dropped when the trial ends. A row's wall_ms therefore
     leaves out both the shared scan and the points an earlier problem of
@@ -295,7 +299,7 @@ def run_sweep(params: ScenarioParams, settings: OptimizerSettings,
             for m in counts for mult in multiples]
         lattices = [None] * len(cells)
         first = cells[0][2]
-        if "gma" in schemes:
+        if "gma" in schemes and first.K > 1:
             lattices = scan([(sc.cfg.feasible_etas(), sc.cfg) for *_, sc in cells],
                             grid.resolve_step(params.wavelength), first.users,
                             first.powers)

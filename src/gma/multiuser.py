@@ -1,22 +1,15 @@
 """Sum-rate maximization over (position, sparsity) for K users.
 
-Both decision variables are handled by search, as the multipath balance
-across users makes the objective highly multimodal: a one-dimensional grid
-scan (with local refinement) over the position and an exhaustive scan over
-the sparsity level, alternated until the objective stalls.
-
-The first round scans the full coarse (y, eta) lattice instead of a single
-eta. This costs eta_max batched profile evaluations, and in exchange the
-returned objective is the exact lattice maximum, which makes the
-domain-monotonicity guarantees structural: growing the movable region (with
-nested grids) or raising eta_max can only enlarge the evaluated set. The
-compact configuration (eta = 1 at the bottom of the region) is part of
-every base grid, so the result never falls below the fixed-array baseline.
-A (y, eta) value does not depend on its batch, so every value the search
-compares is the one objective_metric gives at that point. After the scan,
-every point is scored through a combining.PointScores memo, so a search
-that returns to a point, or a later search of the same trial, reads it
-there instead of scoring it again.
+The multipath balance across users makes the objective highly multimodal,
+so both variables are searched: scan scores the full (y, eta) lattice, then
+optim.alternate refines the position and searches the sparsity in turn
+until the objective stalls. The result is at least the exact lattice
+maximum, so growing the movable region (with nested grids) or raising
+eta_max can only enlarge the evaluated set, and the compact configuration
+(eta = 1 at the bottom of the region), on every lattice, is a floor. A
+(y, eta) value does not depend on its batch, so every value compared is
+objective_metric's at that point. After the scan, every point is scored
+through one combining.PointScores memo per trial, which scores it once.
 """
 
 from __future__ import annotations
@@ -25,7 +18,8 @@ import numpy as np
 
 from .arrays import ArrayConfig
 from .combining import LinkPowers, PointScores, metric_profiles, point_values
-from .optim import GmaSolution, GridSpec, OptimizerSettings, level_grids, refine
+from .optim import (GmaSolution, GridSpec, OptimizerSettings, alternate,
+                    level_grids, refine)
 
 
 def scan(problems, step: float, users,
@@ -153,7 +147,8 @@ def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
                        settings: OptimizerSettings = OptimizerSettings(),
                        extra_candidates=(), lattice=None,
                        scores: PointScores | None = None) -> GmaSolution:
-    """Alternating position / sparsity search for the best (y, eta).
+    """The lattice scan's maximum, then optim.alternate, scoring through
+    scores and searching the sparsity with sparsity_search.
 
     extra_candidates are (y, eta) pairs injected into the evaluated set,
     e.g. the solution of a run over a smaller region so that sweeps over
@@ -183,27 +178,6 @@ def optimize_multiuser(users, powers: LinkPowers, cfg: ArrayConfig,
         evals += 1
         if val > best_val:
             best_val, best_y, best_eta = val, y_c, eta_c
-
-    trace = [best_val]
-    prev = best_val
-    y, eta, cur = best_y, best_eta, best_val
-    rounds = 0
-    for _ in range(settings.max_alt_iters):
-        rounds += 1
-        y2, v2, ev = refine(y, cur, *cfg.position_bounds(eta), step, grid,
-                            lambda pts: scores.profiles(pts, [eta], cfg)[0])
-        evals += ev
-        if v2 > best_val:
-            best_val, best_y, best_eta = v2, y2, eta
-        eta3, v3 = sparsity_search(y2, users, powers, cfg, scores)
-        evals += len(cfg.feasible_etas(y2))
-        if v3 > best_val:
-            best_val, best_y, best_eta = v3, y2, eta3
-        y, eta, cur = y2, eta3, v3
-        trace.append(best_val)
-        if best_val - prev <= settings.epsilon * abs(prev):
-            break
-        prev = best_val
-    return GmaSolution(y_star=best_y, eta_star=best_eta, objective=best_val,
-                       trace=tuple(trace), evals=evals, rounds=rounds)
-
+    return alternate((best_val, best_y, best_eta, evals), cfg, step, grid, settings,
+                     lambda pts, eta: scores.profiles(pts, [eta], cfg)[0],
+                     lambda y: sparsity_search(y, users, powers, cfg, scores))

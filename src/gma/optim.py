@@ -1,4 +1,5 @@
-"""Shared optimizer settings, grid specification, and solution record."""
+"""Shared optimizer settings, grid specification, solution record, the
+search grids and the alternating search that every GMA optimizer runs."""
 
 from __future__ import annotations
 
@@ -66,8 +67,8 @@ class GmaSolution:
     """Optimized configuration with its objective and search statistics.
 
     objective is the SNR for a single user and the sum rate otherwise.
-    trace holds the best objective seen after each outer round and is
-    non-decreasing; evals counts the (y, eta) points the search compared,
+    trace holds the start's objective, then the best after each round, and
+    is non-decreasing; evals counts the (y, eta) points the search compared,
     whether or not they were scored in a pass shared with other searches.
     """
 
@@ -155,3 +156,39 @@ def refine(y: float, val: float, lo: float, hi: float, step: float,
             y, val = float(pts[i]), float(vals[i])
         step = fine
     return y, val, evals
+
+
+def alternate(start, cfg, step: float, grid: GridSpec,
+              settings: OptimizerSettings, profile, sparsity,
+              polish=None) -> GmaSolution:
+    """Alternating position / sparsity search from start = (value, y, eta,
+    evals), a scan's maximum. A round refines the position within its
+    level's bounds, profile(positions, eta) scoring the windows, then runs
+    polish(y, value, eta) -> (y, value, points scored) when given; then
+    sparsity(y) -> (eta, value) compares every feasible level at y. Ties
+    keep the incumbent. Rounds stop once the best value rises by at most
+    settings.epsilon of itself. trace holds start's value, then the best
+    after each round; evals adds each round's points to start's.
+    """
+    best_val, best_y, best_eta, evals = start
+    trace = [best_val]
+    y, eta, cur = best_y, best_eta, best_val
+    for rounds in range(1, settings.max_alt_iters + 1):
+        y2, v2, ev = refine(y, cur, *cfg.position_bounds(eta), step, grid,
+                            lambda pts: profile(pts, eta))
+        if polish is not None:
+            y2, v2, more = polish(y2, v2, eta)
+            ev += more
+        evals += ev
+        if v2 > best_val:
+            best_val, best_y, best_eta = v2, y2, eta
+        eta3, v3 = sparsity(y2)
+        evals += len(cfg.feasible_etas(y2))
+        if v3 > best_val:
+            best_val, best_y, best_eta = v3, y2, eta3
+        y, eta, cur = y2, eta3, v3
+        trace.append(best_val)
+        if best_val - trace[-2] <= settings.epsilon * abs(trace[-2]):
+            break
+    return GmaSolution(y_star=best_y, eta_star=best_eta, objective=best_val,
+                       trace=tuple(trace), evals=evals, rounds=rounds)

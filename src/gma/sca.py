@@ -3,46 +3,36 @@
 The SNR at sparsity eta and reference position y is p_bar*||A(eta) f(y)||^2
 with A(eta) the gain-weighted sparse steering matrix (one column per path)
 and f(y) the vector of per-path position phases. One arithmetic path scores
-that quantity: pair products of the phases (_pair_products), summed per
-level with its Gram entries (_level_sum). snr_profile scores SCA's grids
-and its sparsity search with it. snr_scan, the single-user grid search (SCA's
-start and the K = 1 oracle), scores with it too. It skips each level once
-the level's Gram bound p_bar*sum_ij |G_ij| falls below the best value found
-(branch and bound over eta), and within a level it scores a coarse pass of
-knots about wavelength/8 apart, then only the cells between knots that a
-curvature bound cannot rule out (branch and bound over y). Its result is
-that of scoring every point. The position subproblem is solved by
-ascending a concave quadratic minorant (successive convex approximation);
-the sparsity subproblem by exhaustive discrete search; the two alternate
-until the objective stalls.
+it: pair products of the phases (_pair_products), summed per level with its
+Gram entries (_level_sum). snr_profile scores with it, every level in one
+pass, and so does snr_scan, the grid search (the GMA's start and the K = 1
+oracle), which skips each level whose Gram bound p_bar*sum_ij |G_ij| is
+below the best value found, and within a level scores knots about
+wavelength/8 apart, then only the cells between them that a curvature bound
+cannot rule out; its result is that of scoring every point.
+optimize_single_user runs optim.alternate from snr_scan's maximum; each
+position update ends with a successive convex approximation (SCA) ascent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .arrays import ArrayConfig, PathSet, path_phases, sparse_steering_matrix
-from .optim import (GmaSolution, OptimizerSettings, grid_end, grid_points,
-                    position_grid)
+from .optim import (GmaSolution, GridSpec, OptimizerSettings, alternate,
+                    grid_end, grid_points)
 
 
 def path_matrix(eta: int, paths: PathSet, cfg: ArrayConfig) -> np.ndarray:
-    """Gain-weighted sparse steering matrix, shape (N, L).
-
-    Column l is gains[l] * sparse_steering_matrix(eta, aoas)[l]; the channel at
-    position y is then A @ phase_vector(y).
-    """
+    """Gain-weighted sparse steering matrix, shape (N, L): column l is
+    gains[l] * sparse_steering_matrix(eta, aoas)[l], and the channel at y is
+    A @ f(y), f(y) the per-path phases of arrays.path_phases."""
     abar = sparse_steering_matrix(eta, paths.aoas, cfg)  # (L, N)
     return (paths.gains[:, None] * abar).T
-
-
-def phase_vector(y: float, paths: PathSet, cfg: ArrayConfig) -> np.ndarray:
-    """Per-path position phases exp(1j*2*pi/wavelength * y * sin(aoa)), (L,)."""
-    return np.exp(1j * (2.0 * np.pi / cfg.wavelength) * y * np.sin(paths.aoas))
 
 
 @lru_cache
@@ -84,7 +74,7 @@ class _Level(NamedTuple):
     """
 
     trace: float
-    weights: list[float]
+    weights: np.ndarray
     bound: float
     curvature: float
 
@@ -97,7 +87,9 @@ def _gram_level(eta: int, paths: PathSet, cfg: ArrayConfig) -> _Level:
     abs_g = np.abs(g)
     freq = (2.0 * np.pi / cfg.wavelength) * np.sin(paths.aoas)
     trace = float(np.real(np.trace(gram)))
-    return _Level(trace, np.concatenate([g.real, -g.imag]).tolist(),
+    weights = np.concatenate([g.real, -g.imag])
+    weights.flags.writeable = False  # shared by every caller of the level
+    return _Level(trace, weights,
                   trace + float(np.sum(abs_g)),
                   float(np.sum(abs_g * (freq[j] - freq[i]) ** 2)))
 
@@ -112,12 +104,14 @@ def _level(eta: int, paths: PathSet, cfg: ArrayConfig,
     return levels[eta]
 
 
-def _level_sum(out: np.ndarray, level: _Level, pairs: np.ndarray,
+def _level_sum(out: np.ndarray, trace, weights: np.ndarray, pairs: np.ndarray,
                p_bar: float) -> None:
     """Write p_bar*||A f||^2 into out: the trace, plus each pair product
-    times its weight, added pair by pair in a fixed order."""
-    out[:] = level.trace
-    for w, pair in zip(level.weights, pairs):
+    times its weight, added pair by pair in a fixed order. With a row of
+    out per level, trace and each weights[p] are columns over the levels,
+    and each value gets the operations, so the bits, of its level alone."""
+    out[...] = trace
+    for w, pair in zip(weights, pairs):
         out += w * pair
     out *= p_bar
 
@@ -128,17 +122,19 @@ def snr_profile(y_values, etas, paths: PathSet, cfg: ArrayConfig,
     positions, shape (len(etas), B).
 
     With G = A^H A and unit-modulus phases f_i(y),
-    ||A f||^2 = sum_i G_ii + 2 sum_{i<j} Re(G_ij conj(f_i) f_j). A call forms
-    the eta-independent pair products once, and each level sums them with
-    its Gram entries in a fixed order (_level_sum), so a value does not
-    depend on its batch (a BLAS matvec rounds a column by its place in the
-    batch). _levels, when given, holds the levels' Gram terms across calls.
+    ||A f||^2 = sum_i G_ii + 2 sum_{i<j} Re(G_ij conj(f_i) f_j). The
+    eta-independent pair products are formed once and summed for every
+    level in one pass (_level_sum), so a value depends on neither its batch
+    nor the other levels asked (a BLAS matvec rounds a column by its place
+    in the batch). _levels, when given, holds the Gram terms across calls.
     """
     y_values = np.atleast_1d(np.asarray(y_values, dtype=np.float64))
     pairs = _pair_products(y_values, paths, cfg)
-    out = np.empty((len(etas), y_values.size))
-    for row, eta in zip(out, etas):
-        _level_sum(row, _level(eta, paths, cfg, _levels), pairs, p_bar)
+    levels = [_level(eta, paths, cfg, _levels) for eta in etas]
+    out = np.empty((len(levels), y_values.size))
+    weights = np.reshape([lv.weights for lv in levels], (len(levels), len(pairs)))
+    _level_sum(out, np.array([lv.trace for lv in levels])[:, None],
+               weights.T[:, :, None], pairs, p_bar)
     return out
 
 
@@ -209,7 +205,7 @@ def snr_scan(paths: PathSet, cfg: ArrayConfig, step: float,
     def score(eta, idx, ys, pairs, out=None):
         nonlocal top
         out = np.empty(ys.size) if out is None else out
-        _level_sum(out, levels[eta], pairs, p_bar)
+        _level_sum(out, levels[eta].trace, levels[eta].weights, pairs, p_bar)
         i = int(np.argmax(out))
         point = (float(out[i]), -int(idx[i]))
         if eta not in best or point > best[eta][:2]:
@@ -294,7 +290,7 @@ class ScaState:
 
 def make_sca_state(y_j: float, A: np.ndarray, paths: PathSet,
                    cfg: ArrayConfig) -> ScaState:
-    f_j = phase_vector(y_j, paths, cfg)
+    f_j = path_phases([y_j], paths.aoas, cfg)[0]
     b = A.conj().T @ (A @ f_j)
     objective = float(np.real(np.vdot(f_j, b)))
     k0 = 2.0 * np.pi / cfg.wavelength
@@ -336,8 +332,6 @@ def optimize_position_sca(eta: int, paths: PathSet, y0: float,
     state = make_sca_state(y, A, paths, cfg)
     trace = [state.objective]
     for _ in range(settings.max_sca_iters):
-        if state.xi == 0.0:
-            break
         y_next = surrogate_step(state, bounds)
         if y_next == state.y_j:
             break
@@ -364,54 +358,37 @@ def optimize_sparsity(y: float, paths: PathSet, cfg: ArrayConfig,
 
 
 def optimize_single_user(paths: PathSet, settings: OptimizerSettings,
-                         cfg: ArrayConfig, p_bar: float = 1.0) -> GmaSolution:
-    """Alternate SCA position updates with discrete sparsity search.
-
-    Initialization: the starting (position, sparsity) pair is the best
-    point of snr_scan's wavelength/4 grid over every feasible sparsity
-    level; alternation from the largest aperture alone stalls in
-    joint local optima far more often.
-
-    Each subsequent round seeds the position subproblem from the same grid
-    plus the incumbent, runs the surrogate ascent, then re-optimizes the
-    sparsity at the new position. Rounds stop when the fractional
-    objective increase drops below settings.epsilon. Each level's Gram
-    terms are built once per call and shared by every scan and search.
+                         cfg: ArrayConfig, p_bar: float = 1.0,
+                         grid: GridSpec = GridSpec(), extra_candidates=(),
+                         _levels: dict | None = None) -> GmaSolution:
+    """optimize_multiuser's search on snr_profile's values, run at p_bar = 1
+    and scaled: snr_scan's maximum on the grid.resolve_step grid and the
+    injected extra_candidates, then optim.alternate with optimize_sparsity.
+    Each position update ends in the surrogate ascent (optimize_position_sca),
+    kept only if snr_profile scores it higher; sca_iters holds its steps and
+    evals its iterates and end point. _levels, when given, holds the levels'
+    Gram terms across calls; a call builds each once otherwise.
     """
-    step = cfg.wavelength / 4.0
-    levels: dict = {}
+    levels = {} if _levels is None else _levels
+    step = grid.resolve_step(cfg.wavelength)
     best_val, best_y, best_eta, evals = snr_scan(paths, cfg, step, _levels=levels)
-    prev, y, eta = best_val, best_y, best_eta
-    trace: list[float] = []
+    for y_c, eta_c in extra_candidates:
+        val = float(snr_profile([y_c], [eta_c], paths, cfg, _levels=levels)[0, 0])
+        evals += 1
+        if val > best_val:
+            best_val, best_y, best_eta = val, y_c, eta_c
     sca_iters: list[int] = []
-    rounds = 0
-    for r in range(settings.max_alt_iters):
-        rounds += 1
-        if r == 0:
-            y0 = y  # the initialization scan already found the coarse argmax
-        else:
-            cand = np.append(position_grid(*cfg.position_bounds(eta), step), y)
-            vals = snr_profile(cand, [eta], paths, cfg, _levels=levels)[0]
-            evals += cand.size
-            y0 = float(cand[int(np.argmax(vals))])
-        y_r, _, sca_trace = optimize_position_sca(eta, paths, y0, settings, cfg)
-        evals += len(sca_trace)
-        sca_iters.append(len(sca_trace) - 1)
-        eta_r, obj_full = optimize_sparsity(y_r, paths, cfg, levels)
-        evals += len(cfg.feasible_etas(y_r))
-        if obj_full > best_val:
-            best_val, best_y, best_eta = obj_full, y_r, eta_r
-        trace.append(best_val)
-        y, eta = y_r, eta_r
-        if best_val - prev <= settings.epsilon * abs(prev):
-            break
-        prev = best_val
-    return GmaSolution(
-        y_star=best_y,
-        eta_star=best_eta,
-        objective=p_bar * best_val,
-        trace=tuple(p_bar * v for v in trace),
-        evals=evals,
-        rounds=rounds,
-        sca_iters=tuple(sca_iters),
-    )
+
+    def ascend(y, val, eta):
+        y_sca, _, trace = optimize_position_sca(eta, paths, y, settings, cfg)
+        sca_iters.append(len(trace) - 1)
+        v = float(snr_profile([y_sca], [eta], paths, cfg, _levels=levels)[0, 0])
+        return (y_sca, v, len(trace)) if v > val else (y, val, len(trace))
+
+    sol = alternate(
+        (best_val, best_y, best_eta, evals), cfg, step, grid, settings,
+        lambda pts, eta: snr_profile(pts, [eta], paths, cfg, _levels=levels)[0],
+        lambda y: optimize_sparsity(y, paths, cfg, levels), ascend)
+    return replace(sol, objective=p_bar * sol.objective,
+                   trace=tuple(p_bar * v for v in sol.trace),
+                   sca_iters=tuple(sca_iters))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gma.arrays import (ArrayConfig, PathSet, channel_profile, max_sparsity,
-                        sparse_steering_matrix)
+                        path_phases, sparse_steering_matrix)
 
 from util import WAVELENGTH, loop_channel, make_cfg, random_paths
 
@@ -212,6 +212,22 @@ class TestPathTypes:
         ps = PathSet(gains=np.array([1.0]), aoas=np.array([0.0]))
         with pytest.raises(ValueError):
             ps.gains[0] = 2.0
+
+
+class TestPathPhases:
+    def test_zero_position(self, cfg_small, rng):
+        ps = random_paths(rng, L=3)
+        np.testing.assert_array_equal(path_phases([0.0], ps.aoas, cfg_small),
+                                      np.ones((1, 3)))
+
+    def test_broadside_path_entry_is_one(self, cfg_small):
+        np.testing.assert_allclose(path_phases([0.37], [0.0], cfg_small), [[1.0]],
+                                   rtol=1e-14)
+
+    def test_half_wavelength_endfire(self, cfg_small):
+        np.testing.assert_allclose(
+            path_phases([WAVELENGTH / 2], [np.pi / 2], cfg_small), [[-1.0]],
+            atol=1e-9)
 
 
 class TestChannelProfile:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gma import experiments
+from gma import cli, experiments
 from gma.cli import main
 from gma.experiments import CSV_COLUMNS
 from gma.optim import position_grid
@@ -305,6 +305,43 @@ class TestCommands:
         ys = position_grid(cfg.y_min, cfg.y_max, step)
         evals = int(oracle[CSV_COLUMNS.index("evals")])
         assert evals == ys.size * len(cfg.feasible_etas())
+
+    @pytest.mark.parametrize("command, K", [("single-user", 1), ("multi-user", 2)])
+    def test_prints_each_trials_gap_from_the_oracle(self, tmp_path, capsys,
+                                                    command, K):
+        experiment = {"seeds": 3, "schemes": ["gma", "fpa", "oracle"],
+                      "oracle_step": 0.0005}
+        rows, _, stdout = run_command(tmp_path, capsys, command,
+                                      experiment=experiment)
+        metric = CSV_COLUMNS.index("metric")
+        gma, oracle = ([float(r[metric]) for r in rows[1:] if r[1] == scheme]
+                       for scheme in ("gma", "oracle"))
+        gaps = [10 * np.log10(o / g) if K == 1 else o - g
+                for g, o in zip(gma, oracle)]
+        units = "dB" if K == 1 else "bits/s/Hz"
+        assert (f"oracle - gma gap per trial ({units}): median "
+                f"{np.median(gaps):.4f}, max {max(gaps):.4f}, "
+                f"{sum(gap > 0.01 for gap in gaps)} of 3 above 0.01"
+                in stdout.splitlines())
+
+    @pytest.mark.parametrize("K, oracle, line", [
+        (2, [1.0, 2.1, 4.4], "(bits/s/Hz): median 0.1000, max 0.4000, 2 of 3"),
+        (1, [1.0, 2.0, 40.0], "(dB): median 0.0000, max 10.0000, 1 of 3")])
+    def test_gap_counts_the_trials_above_a_hundredth(self, capsys, K, oracle,
+                                                     line):
+        records = [experiments.TrialRecord(t, scheme, K, 16, 4, 1.0, 4, 0.0, 1,
+                                           value, 1, 0.0)
+                   for t, (g, o) in enumerate(zip([1.0, 2.0, 4.0], oracle))
+                   for scheme, value in (("gma", g), ("fpa", 0.5), ("oracle", o))]
+        cli._print_scheme_means(records)
+        assert (f"oracle - gma gap per trial {line} above 0.01"
+                in capsys.readouterr().out.splitlines())
+
+    def test_prints_no_gap_without_the_oracle(self, capsys):
+        records = [experiments.TrialRecord(0, "gma", 2, 16, 4, 1.0, 4, 0.0, 1,
+                                           1.0, 1, 0.0)]
+        cli._print_scheme_means(records)
+        assert "gap" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("command, experiment, ran", [
         pytest.param("compare", {"seeds": 2, "ma_restarts": 1},

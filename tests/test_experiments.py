@@ -139,6 +139,22 @@ class TestRunCompare:
             assert rec.K == 1
             assert reevaluate_record(rec, params) == rec.metric
 
+    @pytest.mark.parametrize("confine", [False, True])
+    def test_one_user_runs_one_search_whatever_single_user_sca_says(
+            self, confine):
+        params = ScenarioParams(K=1, M=16, paths_per_user=3, region=(0.0, 0.06),
+                                confine_aperture=confine, seed=8)
+        runs = [run_compare(params, SETTINGS, GRID, trials=3,
+                            schemes=("gma", "fpa"), single_user_sca=flag)
+                for flag in (True, False)]
+        assert [replace(r, wall_ms=0.0) for r in runs[0]] == [
+            replace(r, wall_ms=0.0) for r in runs[1]]
+
+    def test_single_user_sca_still_rejects_several_users(self):
+        with pytest.raises(ValueError, match="single user"):
+            run_compare(SMALL, SETTINGS, GRID, trials=1, schemes=("gma",),
+                        single_user_sca=True)
+
     def test_no_memo_outlives_its_trial(self, monkeypatch):
         calls = []
         monkeypatch.setattr(combining, "objective_metric",
@@ -188,6 +204,21 @@ class TestRunSweep:
             for m in (8, 16):
                 assert table[(t, m, 1.0)] <= table[(t, m, 2.0)]
             for mult in (1.0, 2.0):
+                assert table[(t, 8, mult)] <= table[(t, 16, mult)]
+
+    def test_single_user_sweep_is_monotone_on_both_axes(self):
+        # one user runs optimize_single_user, which takes the smaller
+        # problems' solutions as injected candidates too
+        params = ScenarioParams(K=1, M=16, paths_per_user=3, seed=11)
+        records = run_sweep(params, SETTINGS, GRID, trials=3,
+                            region_multiples=(0.5, 1, 2), element_counts=(8, 16),
+                            schemes=("gma",))
+        table = {(r.seed, r.M, round(r.Y_over_D * (r.M - 1) / 31.0, 6)): r.metric
+                 for r in records}
+        for t in range(3):
+            for m in (8, 16):
+                assert table[(t, m, 0.5)] <= table[(t, m, 1.0)] <= table[(t, m, 2.0)]
+            for mult in (0.5, 1.0, 2.0):
                 assert table[(t, 8, mult)] <= table[(t, 16, mult)]
 
     @pytest.mark.parametrize("confine", [False, True])
@@ -241,9 +272,9 @@ class TestRunSweep:
         seen = []
         real_search, real_ma = experiments.exhaustive_search, experiments.ma_optimize
 
-        def search(users, powers, cfg, step):
+        def search(users, powers, cfg, step, **kwargs):
             seen.append(("oracle", step))
-            return real_search(users, powers, cfg, step)
+            return real_search(users, powers, cfg, step, **kwargs)
 
         def ma(*args, restarts, **kwargs):
             seen.append(("ma", restarts))

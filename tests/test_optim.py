@@ -1,9 +1,10 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from gma.optim import GridSpec, grid_end, level_grids, position_grid, refine
+from gma.optim import (GridSpec, OptimizerSettings, alternate, grid_end,
+                        level_grids, position_grid, refine)
 
-from util import WAVELENGTH
+from util import WAVELENGTH, make_cfg
 
 D = WAVELENGTH / 2
 
@@ -99,3 +100,37 @@ class TestRefine:
         y, val, evals = refine(0.0123, 1.0, 0.0, 0.1, D / 8, GridSpec(), flat)
         assert (y, val) == (0.0123, 1.0)
         assert evals == sum(scored) > 0
+
+
+class TestAlternate:
+    def test_ties_keep_the_start_and_every_point_counts(self):
+        cfg = make_cfg(M=16, N=4, span_wavelengths=4.0)
+        scored, polished = [], []
+
+        def flat(pts, eta):
+            scored.append(pts.size)
+            return np.ones(pts.size)
+
+        def polish(y, val, eta):
+            polished.append((y, eta))
+            return y + D / 64, val, 3  # moves to a point of equal value
+
+        sol = alternate((1.0, cfg.y_min, 1, 10), cfg, D / 8, GridSpec(),
+                        OptimizerSettings(), flat, lambda y: (2, 1.0), polish)
+        assert (sol.y_star, sol.eta_star, sol.objective) == (cfg.y_min, 1, 1.0)
+        assert (sol.rounds, sol.trace, polished) == (1, (1.0, 1.0), [(cfg.y_min, 1)])
+        sparsity_points = len(cfg.feasible_etas(cfg.y_min + D / 64))
+        assert sol.evals == 10 + sum(scored) + 3 + sparsity_points
+
+    def test_rounds_run_until_the_objective_stalls_or_the_cap(self):
+        # the third round rises by 1e-5 of the best, under epsilon: the last
+        cfg = make_cfg(M=16, N=4, span_wavelengths=4.0)
+        values = (2.0, 3.0, 3.0 * (1 + 1e-5))
+        for cap, rounds in ((50, 3), (2, 2)):
+            rises = iter(values)
+            sol = alternate((1.0, cfg.y_min, 1, 0), cfg, D / 8, GridSpec(),
+                            OptimizerSettings(epsilon=1e-4, max_alt_iters=cap),
+                            lambda pts, eta: np.zeros(pts.size),
+                            lambda y: (1, next(rises)))
+            assert sol.rounds == rounds
+            assert sol.trace == (1.0, *values[:rounds]) and sol.objective == sol.trace[-1]

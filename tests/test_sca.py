@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gma import sca
-from gma.arrays import ArrayConfig, PathSet, sparse_steering_matrix
-from gma.optim import OptimizerSettings, position_grid
+from gma.arrays import ArrayConfig, PathSet, path_phases, sparse_steering_matrix
+from gma.experiments import run_trial_schemes
+from gma.optim import GridSpec, OptimizerSettings, position_grid
 from gma.scenario import ScenarioParams, sample_scenario
 from gma.sca import (ScaState, make_sca_state, optimize_position_sca,
                      optimize_single_user, optimize_sparsity, path_matrix,
-                     phase_vector, snr_profile, snr_scan, surrogate_step)
+                     snr_profile, snr_scan, surrogate_step)
 
 from util import (WAVELENGTH, fd_highprec, g_derivative, g_second_derivative,
                   g_value, loop_channel, make_cfg, random_paths, surrogate_value)
@@ -55,7 +57,8 @@ class TestPathMatrix:
         for eta in (1, 2, 5):
             A = path_matrix(eta, ps, cfg_small)
             for y in rng.uniform(0.0, cfg_small.y_max, 100):
-                direct = float(np.sum(np.abs(A @ phase_vector(y, ps, cfg_small)) ** 2))
+                f = path_phases([y], ps.aoas, cfg_small)[0]
+                direct = float(np.sum(np.abs(A @ f) ** 2))
                 np.testing.assert_allclose(direct, objective(y, eta, ps, cfg_small),
                                            rtol=1e-9)
 
@@ -349,22 +352,6 @@ class TestSnrScan:
             snr_scan(ps, cfg, WAVELENGTH / 16)
 
 
-class TestPhaseVector:
-    def test_zero_position(self, cfg_small, rng):
-        ps = random_paths(rng, L=3)
-        np.testing.assert_array_equal(phase_vector(0.0, ps, cfg_small), np.ones(3))
-
-    def test_broadside_path_entry_is_one(self, cfg_small):
-        ps = PathSet(gains=np.array([1.0 + 0j]), aoas=np.array([0.0]))
-        np.testing.assert_allclose(phase_vector(0.37, ps, cfg_small), [1.0],
-                                   rtol=1e-14)
-
-    def test_half_wavelength_endfire(self, cfg_small):
-        ps = PathSet(gains=np.array([1.0 + 0j]), aoas=np.array([np.pi / 2]))
-        np.testing.assert_allclose(phase_vector(WAVELENGTH / 2, ps, cfg_small),
-                                   [-1.0], atol=1e-9)
-
-
 class TestSurrogate:
     def test_g_matches_objective_at_expansion_point(self, cfg_small, rng):
         for _ in range(10):
@@ -518,6 +505,21 @@ class TestOptimizePosition:
 
 
 class TestOptimizeSparsity:
+    @given(L=st.integers(1, 5), **SCAN_CASES)
+    def test_one_pass_equals_the_per_level_loop(self, seed, L, M, mult, confine,
+                                               shape, step_kind, p_bar):
+        cfg, paths, _ = scan_case(seed, L, M, mult, confine, shape, step_kind)
+        ys = np.random.default_rng(seed).uniform(*cfg.position_bounds(1), 5)
+        y = float(ys[0])
+        etas = cfg.feasible_etas(y)
+        loop = [snr_profile([y], [e], paths, cfg)[0, 0] for e in etas]
+        i = int(np.argmax(loop))
+        assert optimize_sparsity(y, paths, cfg) == (etas[i], loop[i])
+        shared = [e for e in etas if ys.max() <= cfg.position_bounds(e)[1]]
+        np.testing.assert_array_equal(
+            snr_profile(ys, shared, paths, cfg, p_bar),
+            [snr_profile(ys, [e], paths, cfg, p_bar)[0] for e in shared])
+
     def test_single_path_tie_breaks_small(self, cfg_small):
         # broadside makes the per-eta values bit-equal, so the tie-break
         # toward the smaller eta is exact
@@ -574,14 +576,23 @@ class TestOptimizeSingleUser:
             assert loose.objective <= tight.objective * (1 + 1e-6)
 
     def test_builds_each_level_once(self, monkeypatch):
-        # the start scan, the candidate grids and the sparsity searches share
-        # one set of Gram terms, which gives the result of building them anew
+        # the start scan, the refinement windows, the ascents' checks and the
+        # sparsity searches share one set of Gram terms, and a trial's GMA
+        # shares it with the trial's oracle; sharing gives the result of
+        # building them anew
         sc = sample_scenario(ScenarioParams(K=1), 0)
         cfg, paths, p_bar = sc.cfg, sc.users[0], float(sc.powers.p_bar[0])
+        schemes, step = ("gma", "fpa", "oracle"), cfg.wavelength / 100
+
+        def trial():
+            records = run_trial_schemes(sc, schemes, SETTINGS, GridSpec(),
+                                        oracle_step=step)
+            return [replace(r, wall_ms=0.0) for r in records]
+
         level = sca._level
         monkeypatch.setattr(sca, "_level",
                             lambda eta, paths, cfg, levels: level(eta, paths, cfg, None))
-        fresh = optimize_single_user(paths, SETTINGS, cfg, p_bar)
+        fresh, fresh_trial = optimize_single_user(paths, SETTINGS, cfg, p_bar), trial()
         monkeypatch.setattr(sca, "_level", level)
         builds, gram_level = [], sca._gram_level
         monkeypatch.setattr(sca, "_gram_level",
@@ -589,6 +600,39 @@ class TestOptimizeSingleUser:
         sol = optimize_single_user(paths, SETTINGS, cfg, p_bar)
         assert sol == fresh and sol.rounds > 1
         assert sorted(builds) == cfg.feasible_etas()
+        builds.clear()
+        assert trial() == fresh_trial
+        assert sorted(builds) == cfg.feasible_etas()
+
+    def test_keeps_an_ascent_only_if_it_scores_higher(self, monkeypatch):
+        # an ascent that ends at a lower point is dropped, so the search
+        # matches one whose ascents never move
+        sc = sample_scenario(ScenarioParams(K=1), 0)
+
+        def to_the_bottom(eta, paths, y0, settings, cfg):
+            return cfg.position_bounds(eta)[0], np.inf, [0.0, np.inf]
+
+        def stay(eta, paths, y0, settings, cfg):
+            return y0, 0.0, [0.0, 0.0]
+
+        runs = []
+        for ascent in (to_the_bottom, stay):
+            monkeypatch.setattr(sca, "optimize_position_sca", ascent)
+            runs.append(optimize_single_user(sc.users[0], SETTINGS, sc.cfg))
+        assert runs[0] == runs[1] and runs[0].rounds > 1
+
+    @given(seed=st.integers(0, 10 ** 6), trial=st.integers(0, 100),
+           confine=st.booleans())
+    def test_beats_its_start_scan_and_the_fixed_array(self, seed, trial, confine):
+        # on the search's own values, exactly: optim.alternate starts from the
+        # wavelength/16 scan, whose grid holds the fixed array's (y_min, 1)
+        sc = sample_scenario(ScenarioParams(K=1, confine_aperture=confine,
+                                            seed=seed), trial)
+        cfg, paths, p_bar = sc.cfg, sc.users[0], float(sc.powers.p_bar[0])
+        sol = optimize_single_user(paths, SETTINGS, cfg, p_bar)
+        start = snr_scan(paths, cfg, GridSpec().resolve_step(cfg.wavelength))[0]
+        fpa = snr_profile([cfg.y_min], [1], paths, cfg)[0, 0]
+        assert sol.objective >= p_bar * start >= p_bar * fpa
 
     def test_trace_is_scaled_and_monotone(self, cfg_small, rng):
         ps = random_paths(rng, L=3)
