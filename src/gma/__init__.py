@@ -9,7 +9,7 @@ a seeded experiment harness with CSV output.
 
 __version__ = "0.1.0"
 
-from .arrays import ArrayConfig, PathSet, max_sparsity
+from .arrays import ArrayConfig, PathSet, max_sparsity, path_matrix
 from .baselines import (MaLayout, exhaustive_search, fpa_metric,
                         gma_element_positions, ma_optimize)
 from .combining import LinkPowers, objective_metric
@@ -18,8 +18,7 @@ from .experiments import (LandscapeResult, TrialRecord, landscape,
 from .multiuser import grid_position_search, optimize_multiuser, sparsity_search
 from .optim import GmaSolution, GridSpec, OptimizerSettings
 from .scenario import Scenario, ScenarioParams, sample_scenario
-from .sca import (optimize_position_sca, optimize_single_user,
-                  optimize_sparsity, path_matrix)
+from .sca import optimize_position_sca, optimize_single_user, optimize_sparsity
 
 __all__ = [
     "ArrayConfig", "GmaSolution", "GridSpec", "LandscapeResult", "LinkPowers",

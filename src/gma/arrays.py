@@ -173,14 +173,6 @@ class PathSet:
         return self.gains.size
 
 
-def sparse_steering_matrix(eta: int, aoas: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Stacked sparse-array responses, shape (L, N), row l for AoA aoas[l]."""
-    eta = cfg.validate_eta(eta)
-    n = np.arange(cfg.N)
-    phase = 2.0 * np.pi * eta * cfg.d_bar * np.outer(np.sin(aoas), n)
-    return np.exp(1j * phase)
-
-
 def path_phases(y_values, aoas: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
     """Position phases exp(1j*2*pi/wavelength * y * sin(aoa)), shape (B, L).
 
@@ -204,20 +196,23 @@ def gain_weighted_shifts(y_values: np.ndarray, paths: PathSet,
     return out
 
 
-# -- the position lattice -----------------------------------------------------
+# -- the channel: one formula in two orders -----------------------------------
 #
-# A channel row is built by one of two rules, chosen point by point from the
-# reference position y alone, so a (y, eta) value never depends on its batch.
+# An element at x receives c(x) = sum_l g_l exp(j k0 x sin theta_l), k0 =
+# 2*pi/wavelength; element n of the group array at (y, eta) sits at
+# x = y + n*eta*d. A row is built in one of two orders, picked from its
+# point alone, so a value never depends on its batch.
 #
-# The lattice has step u = d / LATTICE_STEPS (wavelength/1024 by default). y
-# is on the lattice when y == y_min + t*u bit for bit, with
-# t = rint((y - y_min) / u). Element n of a lattice candidate (y, eta) then
-# sits at x = y_min + (t + LATTICE_STEPS*n*eta)*u, and its channel entry is
-# c(x) = sum_l g_l exp(j k0 x sin theta_l): element_channels, which adds the
-# gain_weighted_shifts columns in path order. It depends on the integer
-# index only, so a scan reads every level's channels off one table of c per
-# user (combining.metric_profiles). Off the lattice a row keeps the steering
-# product sum_paths(gain_weighted_shifts(y), sparse_steering_matrix(eta)).
+# Per element: element_channels adds the gain_weighted_shifts columns at x in
+# path order. It builds every MA layout, and every row whose y lies on the
+# lattice of step u = d / LATTICE_STEPS (wavelength/1024 by default):
+# y == y_min + t*u bit for bit, t = rint((y - y_min) / u). Element n then
+# sits at lattice_positions(t + LATTICE_STEPS*n*eta), so a scan reads every
+# level's channels off one table of c per user (combining.metric_profiles).
+#
+# Factored: off the lattice, h(y, eta) = A(eta) f(y), A = path_matrix and
+# f = path_phases(y), added in path order by sum_paths; SCA's surrogate and
+# Gram levels read the same A(eta). A row costs one phase row f, not N.
 #
 # The default wavelength/16 grid, and every position_grid anchored at y_min
 # with a step of d/2**k, land on the lattice. Refinement windows and appended
@@ -226,33 +221,44 @@ def gain_weighted_shifts(y_values: np.ndarray, paths: PathSet,
 LATTICE_STEPS = 512  # lattice steps per element spacing d
 
 
+def lattice_positions(q, cfg: ArrayConfig):
+    """Positions y_min + q*u of integer lattice indices q."""
+    return cfg.y_min + q * (cfg.d / LATTICE_STEPS)
+
+
 def lattice_index(y_values, cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
     """Lattice indices t (int64, 0 off the lattice) and the on-lattice mask."""
     y = np.asarray(y_values, dtype=np.float64)
-    u = cfg.d / LATTICE_STEPS
-    t = np.rint((y - cfg.y_min) / u)
-    on = (np.abs(t) < 2.0 ** 52) & (cfg.y_min + t * u == y)
+    t = np.rint((y - cfg.y_min) / (cfg.d / LATTICE_STEPS))
+    on = (np.abs(t) < 2.0 ** 52) & (lattice_positions(t, cfg) == y)
     return np.where(on, t, 0.0).astype(np.int64), on
 
 
-def element_channels(q: np.ndarray, paths: PathSet, cfg: ArrayConfig) -> np.ndarray:
-    """Channel entries c(y_min + q*u) at integer lattice indices q, q's shape."""
-    x = cfg.y_min + q.ravel() * (cfg.d / LATTICE_STEPS)
-    shifts = gain_weighted_shifts(x, paths, cfg)
+def element_channels(x: np.ndarray, paths: PathSet, cfg: ArrayConfig) -> np.ndarray:
+    """Channel entries c(x) at element positions x, x's shape."""
+    shifts = gain_weighted_shifts(x.ravel(), paths, cfg)
     acc = shifts[:, 0].copy()
     for col in shifts.T[1:]:
         acc += col
-    return acc.reshape(q.shape)
+    return acc.reshape(x.shape)
+
+
+def path_matrix(eta: int, paths: PathSet, cfg: ArrayConfig) -> np.ndarray:
+    """Path matrix A(eta), shape (N, L): A[n, l] = gains[l] times the phase
+    of path l at offset n*eta*d, so the channel at (y, eta) is A f(y), f(y)
+    the per-path phases path_phases(y)."""
+    offsets = np.arange(cfg.N) * (cfg.validate_eta(eta) * cfg.d)
+    return paths.gains * path_phases(offsets, paths.aoas, cfg)
 
 
 def channel_profile(y_values: np.ndarray, eta: int, paths: PathSet,
                     cfg: ArrayConfig) -> np.ndarray:
     """Channels at many reference positions in one shot, shape (B, N).
 
-    Row b holds the channel at (y_values[b], eta), built by the lattice rule
-    above; eta is one sparsity level, or an array of one level per row.
-    Positions are not range-checked here; grid builders only produce
-    in-region values.
+    Row b holds the channel at (y_values[b], eta), built in the order above
+    that its position picks; eta is one sparsity level, or an array of one
+    level per row. Positions are not range-checked here; grid builders only
+    produce in-region values.
     """
     levels = ([cfg.validate_eta(eta)] if np.ndim(eta) == 0
               else [cfg.validate_eta(e) for e in np.unique(eta)])
@@ -262,26 +268,26 @@ def channel_profile(y_values: np.ndarray, eta: int, paths: PathSet,
     out = np.empty((y_values.size, cfg.N), dtype=np.complex128)
     if on.any():
         steps = LATTICE_STEPS * eta[on, None] * np.arange(cfg.N)
-        out[on] = element_channels(t[on, None] + steps, paths, cfg)
+        out[on] = element_channels(lattice_positions(t[on, None] + steps, cfg), paths, cfg)
     for level in levels:
         off = ~on & (eta == level)
         if off.any():
-            out[off] = sum_paths(gain_weighted_shifts(y_values[off], paths, cfg),
-                                 sparse_steering_matrix(level, paths.aoas, cfg))
+            out[off] = sum_paths(path_phases(y_values[off], paths.aoas, cfg),
+                                 path_matrix(level, paths, cfg))
     return out
 
 
-def sum_paths(shifts: np.ndarray, abar: np.ndarray) -> np.ndarray:
-    """Channels (B, N) from gain-weighted shifts (B, L) and steering rows (L, N).
+def sum_paths(phases: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Channels (B, N) from path phases f (B, L) and a path matrix A (N, L).
 
     Adds the paths one at a time (each product spans N >= 2 entries), so row
     b gets the same bits in every batch; a BLAS matmul's summation order
     changes with the batch shape. Returns the transpose of an (N, B) array:
     batch_sinr runs faster with the batch axis fastest.
     """
-    acc = abar[0][:, None] * shifts[:, 0]
-    for row, weights in zip(abar[1:], shifts.T[1:]):
-        acc += row[:, None] * weights
+    acc = A[:, :1] * phases[:, 0]
+    for col, weights in zip(A.T[1:], phases.T[1:]):
+        acc += col[:, None] * weights
     return acc.T
 
 

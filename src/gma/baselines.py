@@ -5,11 +5,13 @@ The fixed-position array (FPA) is the compact selection (stride 1) parked
 at the bottom of the movable region. The movable-antenna (MA) benchmark
 lets each of the N elements move independently, subject to a half-wavelength
 minimum spacing, over the span the group array can physically reach; it is
-optimized by cyclic coordinate ascent. The grid search (the "oracle"
-scheme) scans the full (position, sparsity) product grid with the scans the
-GMA optimizers start from, sca.snr_scan for one user and multiuser.scan for
-several, at a finer step (wavelength/1000 by default). It is a reference,
-not a bound: the optimizers refine between its points and can score above it.
+optimized by cyclic coordinate ascent. Its channels are built per element
+(arrays.element_channels), so a slot scan builds only the moving antenna's
+column per candidate. The grid search (the "oracle" scheme) scans the full
+(position, sparsity) product grid with the scans the GMA optimizers start
+from, sca.snr_scan for one user and multiuser.scan for several, at a finer
+step (wavelength/1000 by default). It is a reference, not a bound: the
+optimizers refine between its points and can score above it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig
+from .arrays import ArrayConfig, element_channels
 from .combining import LinkPowers, PointScores, batch_objective
 from .multiuser import scan
 from .optim import GridSpec, OptimizerSettings, position_grid, refine
@@ -73,19 +75,10 @@ def gma_element_positions(y: float, eta: int, cfg: ArrayConfig) -> np.ndarray:
 
 
 def layout_channel_stack(positions: np.ndarray, users, cfg: ArrayConfig) -> np.ndarray:
-    """Channels for a batch of arbitrary layouts, shape (B, K, N).
-
-    Element n of user k's channel is sum_l gain_l * exp(1j*2*pi/wavelength
-    * positions[n] * sin(aoa_l)); this generalizes the group-array channel
-    to non-uniform element placement.
-    """
+    """Channels for a batch of arbitrary layouts, shape (B, K, N): user k's
+    element_channels at each layout's positions (B, N)."""
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    k0 = 2.0 * np.pi / cfg.wavelength
-    per_user = []
-    for u in users:
-        phase = k0 * positions[:, :, None] * np.sin(u.aoas)
-        per_user.append(np.exp(1j * phase) @ u.gains)
-    return np.stack(per_user, axis=1)
+    return np.stack([element_channels(positions, u, cfg) for u in users], axis=1)
 
 
 def layout_metric(positions: np.ndarray, users, powers: LinkPowers,
@@ -166,10 +159,13 @@ def _slot_scan(pos, n, lo_n, hi_n, step, val, users, powers, cfg, grid):
 
     Returns (position, metric, layouts scored).
     """
+    # not through layout_channel_stack, whose rows count the layouts scored
+    fixed = np.stack([element_channels(pos, u, cfg) for u in users])
+
     def score(cand):
-        batch = np.broadcast_to(pos, (cand.size, pos.size)).copy()
-        batch[:, n] = cand
-        return batch_objective(layout_channel_stack(batch, users, cfg), powers)
+        H = np.repeat(fixed[None], cand.size, axis=0)
+        H[:, :, n] = layout_channel_stack(cand[:, None], users, cfg)[:, :, 0]
+        return batch_objective(H, powers)
 
     cand = position_grid(lo_n, hi_n, step)
     vals = score(cand)

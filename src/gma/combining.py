@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import (LATTICE_STEPS, ArrayConfig, channel_profile,
-                     element_channels, gain_weighted_shifts, lattice_index,
-                     sparse_steering_matrix, sum_paths)
+                     element_channels, lattice_index, lattice_positions,
+                     path_matrix, path_phases, sum_paths)
 
 # (y, eta) rows scored per step of metric_profiles: every batch_sinr call,
 # and the lag rows of a run, cover at most this many rows, so their arrays
@@ -87,8 +87,9 @@ class LinkPowers:
 # elementwise operation over the B candidates: one numpy call covers
 # the whole batch, and no result depends on B or on the other rows. So a
 # (y, eta) value does not depend on its batch (arrays builds each channel
-# row alone, by the lattice rule documented there), and optimizers store
-# scan values that re-evaluate bit-identically. The sums over users and over the N pivots are explicit
+# row alone, in one of the two orders documented there, picked by the row's
+# position), and optimizers store scan values that re-evaluate
+# bit-identically. The sums over users and over the N pivots are explicit
 # loops, never numpy reductions: numpy sums an axis pairwise from 8 terms
 # on, in an order that follows the array layout, which would tie a row's
 # bits to the batch shape. Small arrays also keep a call's working set in
@@ -340,12 +341,13 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
                     screen: bool = False):
     """Yield (eta, metric array over y_values) for each requested eta.
 
-    Channels follow the lattice rule in arrays. The lattice rows of a call
-    share one element-channel table per user, with stride s = the gcd of
-    their index gaps and LATTICE_STEPS, and every level reads its channels
-    off it; when the table would hold more entries than those rows read,
-    they are built element by element instead. The off-lattice rows share
-    one gain-weighted shift table per user across the levels.
+    Channels are built in the two orders of arrays. The lattice rows of a
+    call, built per element, share one element-channel table per user, with
+    stride s = the gcd of their index gaps and LATTICE_STEPS, and every
+    level reads its channels off it; when the table would hold more entries
+    than those rows read, they are built element by element instead. The
+    off-lattice rows, built factored as A(eta) f(y), share one table of path
+    phases f per user and one path matrix A per level and user.
 
     The (eta, y) rows of all levels are scored in chunks of up to _CHUNK
     rows (2 _CHUNK when screening), and one chunk spans several levels when
@@ -370,8 +372,9 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
     # rows are scored lattice rows first, each class in row order
     order, n_on = np.argsort(~on, kind="stable"), int(on.sum())
     lat = t[order[:n_on]]
-    shifts = None if n_on == B else [
-        gain_weighted_shifts(y_values[order[n_on:]], u, cfg) for u in users]
+    factors = None if n_on == B else (
+        [path_phases(y_values[order[n_on:]], u.aoas, cfg) for u in users],
+        [[path_matrix(eta, u, cfg) for u in users] for eta in etas])
     # lat holds lattice indices base + s*lat: base = 0 and s = 1 until the
     # tables are built, then lat holds table positions
     tables, diag, base, s, breaks = None, None, 0, 1, np.empty(0, dtype=np.int64)
@@ -386,7 +389,8 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
             for k, u in enumerate(users):
                 for a in range(0, size, _CHUNK):
                     b = min(a + _CHUNK, size)
-                    tables[k, a:b] = element_channels(t0 + g * np.arange(a, b), u, cfg)
+                    tables[k, a:b] = element_channels(
+                        lattice_positions(t0 + g * np.arange(a, b), cfg), u, cfg)
             lat, base, s = (lat - t0) // g, t0, g
             if K > 1 and N > 2:
                 diag = _lag_diagonal(tables, p)
@@ -425,7 +429,7 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
         if by_rows:
             vals[np.concatenate([np.arange(q, q + z - x) for _, x, z, q in by_rows])] = \
                 _score_rows(by_rows, etas, n_on, lat, base, s, tables if exact else None,
-                            shifts, users, powers, cfg)
+                            factors, users, powers, cfg)
         for lvl, a, b, q in segments:
             if a == 0:
                 filling[lvl] = [np.empty(B), None]
@@ -564,30 +568,32 @@ def _table_view(tables, j0, w, e, N):
     return H
 
 
-def _score_rows(segments, etas, n_on, lat, base, s, tables, shifts, users, powers, cfg):
+def _score_rows(segments, etas, n_on, lat, base, s, tables, factors, users, powers, cfg):
     """Values of the segments' rows, in order, with S built row by row.
 
     A segment holds lattice rows only (rows below n_on) or off-lattice rows
     only. tables is the complex128 table, or None: the channels at lattice
     indices base + s*lat are then built element by element, with the same
-    bits.
+    bits, in one element_channels call per user. factors holds the
+    off-lattice rows' path phases per user and path matrices per level.
     """
     N = cfg.N
-    H = np.empty((len(users), N, sum(z - x for _, x, z, _ in segments)),
-                 dtype=np.complex128)
-    p = 0
+    H = np.empty((len(users), N, sum(z - x for _, x, z, _ in segments)), complex)
+    cols, idx, p = [], [], 0
     for lvl, x, z, _ in segments:
-        eta, q = etas[lvl], p + z - x
+        q = p + z - x
         if z <= n_on:
-            idx = lat[x:z] + LATTICE_STEPS * eta // s * np.arange(N)[:, None]
-            for k, u in enumerate(users):
-                H[k, :, p:q] = (element_channels(base + s * idx, u, cfg)
-                                if tables is None else tables[k][idx])
+            cols.append(np.arange(p, q))
+            idx.append(lat[x:z] + LATTICE_STEPS * etas[lvl] // s * np.arange(N)[:, None])
         else:
-            for k, u in enumerate(users):
-                abar = sparse_steering_matrix(eta, u.aoas, cfg)
-                H[k, :, p:q] = sum_paths(shifts[k][x - n_on:z - n_on], abar).T
+            for k, (f, A) in enumerate(zip(factors[0], factors[1][lvl])):
+                H[k, :, p:q] = sum_paths(f[x - n_on:z - n_on], A).T
         p = q
+    if idx:
+        cols, idx = np.concatenate(cols), np.concatenate(idx, axis=1)
+        x = lattice_positions(base + s * idx, cfg)
+        for k, u in enumerate(users):
+            H[k][:, cols] = element_channels(x, u, cfg) if tables is None else tables[k][idx]
     return batch_objective(H.transpose(2, 0, 1), powers)
 
 

@@ -274,10 +274,10 @@ def run_sweep(params: ScenarioParams, settings: OptimizerSettings,
 
     Regions are multiples of the compact reference aperture (32-element
     array), anchored at zero, so the evaluated grids nest as the region
-    grows. Each run also receives the solutions found for the next-smaller
-    region and element count as injected candidates; together these make
-    the per-trial metric monotone along both sweep axes. oracle_step and
-    ma_restarts reach every problem's run_trial_schemes.
+    grows. With gma, each run also receives the gma solutions found for the
+    next-smaller region and element count as injected candidates; together
+    these make the per-trial metric monotone along both sweep axes.
+    oracle_step and ma_restarts reach every problem's run_trial_schemes.
 
     The problems of a trial share their users and powers, so on several
     users one multiuser.scan per trial scores all their lattices, and each
@@ -307,9 +307,9 @@ def run_sweep(params: ScenarioParams, settings: OptimizerSettings,
         for (m, mult, scenario), lattice in zip(cells, lattices):
             extra = []
             m_idx, r_idx = counts.index(m), multiples.index(mult)
-            if r_idx > 0:
+            if r_idx > 0 and "gma" in schemes:
                 extra.append(solutions[(m, multiples[r_idx - 1])])
-            if m_idx > 0:
+            if m_idx > 0 and "gma" in schemes:
                 extra.append(solutions[(counts[m_idx - 1], mult)])
             recs = run_trial_schemes(scenario, schemes, settings, grid,
                                      oracle_step=oracle_step,

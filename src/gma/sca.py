@@ -1,8 +1,9 @@
 """Single-user joint position / sparsity optimization.
 
 The SNR at sparsity eta and reference position y is p_bar*||A(eta) f(y)||^2
-with A(eta) the gain-weighted sparse steering matrix (one column per path)
-and f(y) the vector of per-path position phases. One arithmetic path scores
+with A(eta) = arrays.path_matrix (one column per path) and f(y) the vector
+of per-path position phases: the factored order of the channel in arrays,
+which its off-lattice rows share. One arithmetic path scores
 it: pair products of the phases (_pair_products), summed per level with its
 Gram entries (_level_sum). snr_profile scores with it, every level in one
 pass, and so does snr_scan, the grid search (the GMA's start and the K = 1
@@ -22,17 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import ArrayConfig, PathSet, path_phases, sparse_steering_matrix
+from .arrays import ArrayConfig, PathSet, path_matrix, path_phases
 from .optim import (GmaSolution, GridSpec, OptimizerSettings, alternate,
                     grid_end, grid_points)
-
-
-def path_matrix(eta: int, paths: PathSet, cfg: ArrayConfig) -> np.ndarray:
-    """Gain-weighted sparse steering matrix, shape (N, L): column l is
-    gains[l] * sparse_steering_matrix(eta, aoas)[l], and the channel at y is
-    A @ f(y), f(y) the per-path phases of arrays.path_phases."""
-    abar = sparse_steering_matrix(eta, paths.aoas, cfg)  # (L, N)
-    return (paths.gains[:, None] * abar).T
 
 
 @lru_cache

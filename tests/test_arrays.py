@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gma.arrays import (ArrayConfig, PathSet, channel_profile, max_sparsity,
-                        path_phases, sparse_steering_matrix)
+                        path_matrix, path_phases)
 
-from util import WAVELENGTH, loop_channel, make_cfg, random_paths
+from util import WAVELENGTH, loop_channel, make_cfg, random_paths, steering_vector
 
 
 class TestMaxSparsity:
@@ -109,8 +109,10 @@ class TestArrayConfig:
 
 
 def steering_row(eta, theta, cfg):
-    """Sparse-array response to one AoA: a row of sparse_steering_matrix."""
-    return sparse_steering_matrix(eta, [theta], cfg)[0]
+    """Sparse-array response to one AoA: path_matrix's column for a single
+    path of gain 1."""
+    ps = PathSet(gains=np.array([1.0 + 0j]), aoas=np.array([theta]))
+    return path_matrix(eta, ps, cfg)[:, 0]
 
 
 def unit_path_channel(y, eta, theta, cfg):
@@ -183,7 +185,7 @@ class TestSinglePathChannel:
             theta = rng.uniform(-np.pi / 2, np.pi / 2)
             eta = int(rng.integers(1, cfg_small.eta_max + 1))
             ratio = (unit_path_channel(y, eta, theta, cfg_small)
-                     / steering_row(eta, theta, cfg_small))
+                     / steering_vector(eta, theta, cfg_small))
             np.testing.assert_allclose(ratio, ratio[0], atol=1e-12)
             assert abs(abs(ratio[0]) - 1.0) < 1e-12
 

@@ -2,9 +2,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gma import baselines
-from gma.arrays import ArrayConfig, PathSet
+from gma.arrays import ArrayConfig, PathSet, element_channels
 from gma.baselines import (MaLayout, exhaustive_search, fpa_metric,
                            gma_element_positions, layout_metric, ma_optimize,
                            ma_span)
@@ -157,6 +158,58 @@ class TestMaOptimize:
         bad = np.array([0.0, 1e-4, 2e-4, 3e-4])  # gaps below half wavelength
         with pytest.raises(ValueError):
             ma_optimize(users, powers, cfg_small, init=bad)
+
+
+class TestMaColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), K=st.sampled_from([1, 3]),
+           L=st.integers(1, 6), n=st.integers(0, 3))
+    def test_slot_scan_equals_full_layouts(self, seed, K, L, n):
+        # a candidate builds antenna n's column alone; its value must be
+        # the one of building the whole layout
+        cfg, users, powers = seeded_instance(seed, K=K, L=L, span_wavelengths=3.0)
+        rng = np.random.default_rng(seed)
+        lo, hi = ma_span(cfg)
+        gap = cfg.wavelength / 2
+        free = (hi - lo) - (cfg.N - 1) * gap
+        pos = lo + np.sort(rng.uniform(0.0, free, cfg.N)) + gap * np.arange(cfg.N)
+        lo_n = pos[n - 1] + gap if n > 0 else lo
+        hi_n = pos[n + 1] - gap if n < cfg.N - 1 else hi
+        assume(lo_n <= hi_n)
+        val = layout_metric(pos, users, powers, cfg)
+        real_stack, real_objective = baselines.layout_channel_stack, baselines.batch_objective
+        scored = []
+
+        def objective(H, p):
+            scored.append(real_objective(H, p))
+            return scored[-1]
+
+        grid = GridSpec()
+        with mock.patch.object(baselines, "layout_channel_stack",
+                               wraps=real_stack) as stack, \
+                mock.patch.object(baselines, "batch_objective", side_effect=objective):
+            baselines._slot_scan(pos, n, lo_n, hi_n, grid.resolve_step(cfg.wavelength),
+                                 val, users, powers, cfg, grid)
+        assert len(scored) == stack.call_count > 0
+        for call, vals in zip(stack.call_args_list, scored):
+            cand = call.args[0]
+            assert cand.shape == (vals.size, 1)
+            full = np.repeat(pos[None], vals.size, axis=0)
+            full[:, n] = cand[:, 0]
+            assert np.array_equal(vals, real_objective(real_stack(full, users, cfg), powers))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), L=st.integers(1, 6),
+           size=st.integers(1, 40))
+    def test_element_channels_entry_ignores_its_batch(self, seed, L, size):
+        rng = np.random.default_rng(seed)
+        cfg = make_cfg(M=16, N=4, span_wavelengths=10.0)
+        paths = random_paths(rng, L=L)
+        x = rng.uniform(cfg.y_min, cfg.y_max + (cfg.M - 1) * cfg.d, size)
+        batch = element_channels(x, paths, cfg)
+        assert batch.shape == x.shape
+        for i in range(size):
+            assert np.array_equal(element_channels(x[i:i + 1], paths, cfg), batch[i:i + 1])
+        assert np.array_equal(element_channels(x[::-1, None], paths, cfg)[::-1, 0], batch)
 
 
 class TestExhaustiveSearch:

@@ -294,6 +294,14 @@ class TestCommands:
             for scheme in ("gma", "fpa")]
         assert meta["trials"] == 1 and "(8 records)" in stdout
 
+    def test_sweep_runs_without_gma(self, tmp_path, capsys):
+        experiment = {"region_multiples": [0.25, 0.5], "element_counts": [16, 20]}
+        rows, _, stdout = run_command(tmp_path, capsys, "sweep",
+                                      experiment=experiment,
+                                      flags=("--scheme", "fpa"))
+        assert [r[1] for r in rows[1:]] == ["fpa"] * 4
+        assert "(4 records)" in stdout
+
     def test_sweep_runs_the_oracle_at_the_given_step(self, tmp_path, capsys):
         step = 0.002
         experiment = {"region_multiples": [0.25], "element_counts": [16],

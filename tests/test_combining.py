@@ -424,10 +424,10 @@ class TestLatticeTable:
         # 8,129 grid positions plus the (N-1)*eta_max*d/step = 3*42*8 that
         # the top element of the sparsest level reaches beyond them. Each
         # user's table is built in blocks of at most _CHUNK positions, one
-        # element_channels call each (a 1-D index array; the rows scored
-        # element by element pass (N, rows) arrays): every entry is built
-        # exactly once, as the blocks are disjoint and their sizes sum to
-        # K times the table size.
+        # element_channels call each (a 1-D array of lattice positions; the
+        # rows scored element by element pass (N, rows) arrays): every entry
+        # is built exactly once, as the blocks are disjoint and their sizes
+        # sum to K times the table size.
         sc = sample_scenario(ScenarioParams(), 0)
         cfg = sc.cfg
         with mock.patch.object(combining, "element_channels",

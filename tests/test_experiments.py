@@ -267,6 +267,20 @@ class TestRunSweep:
         assert ([replace(r, wall_ms=0.0) for r in swept]
                 == [replace(r, wall_ms=0.0) for r in alone])
 
+    @pytest.mark.parametrize("scheme", ["fpa", "oracle"])
+    def test_runs_without_gma(self, scheme):
+        # only gma records the solutions injected into the larger problems
+        params = ScenarioParams(K=2, M=16, paths_per_user=2, seed=3)
+        kwargs = dict(region_multiples=(1, 2), element_counts=(8, 16),
+                      oracle_step=params.wavelength / 64)
+        alone = run_sweep(params, SETTINGS, GRID, trials=1, schemes=(scheme,),
+                          **kwargs)
+        with_gma = run_sweep(params, SETTINGS, GRID, trials=1,
+                             schemes=("gma", scheme), **kwargs)
+        assert len(alone) == 4
+        assert ([replace(r, wall_ms=0.0) for r in alone]
+                == [replace(r, wall_ms=0.0) for r in with_gma if r.scheme == scheme])
+
     def test_passes_oracle_step_and_ma_restarts_to_every_problem(
             self, monkeypatch):
         seen = []

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gma import sca
-from gma.arrays import ArrayConfig, PathSet, path_phases, sparse_steering_matrix
+from gma.arrays import ArrayConfig, PathSet, path_matrix, path_phases
 from gma.experiments import run_trial_schemes
 from gma.optim import GridSpec, OptimizerSettings, position_grid
 from gma.scenario import ScenarioParams, sample_scenario
 from gma.sca import (ScaState, make_sca_state, optimize_position_sca,
-                     optimize_single_user, optimize_sparsity, path_matrix,
-                     snr_profile, snr_scan, surrogate_step)
+                     optimize_single_user, optimize_sparsity, snr_profile,
+                     snr_scan, surrogate_step)
 
 from util import (WAVELENGTH, fd_highprec, g_derivative, g_second_derivative,
-                  g_value, loop_channel, make_cfg, random_paths, surrogate_value)
+                  g_value, loop_channel, make_cfg, random_paths, steering_vector,
+                  surrogate_value)
 
 SETTINGS = OptimizerSettings()
 
@@ -42,7 +43,7 @@ class TestPathMatrix:
         for l in range(2):
             np.testing.assert_allclose(
                 A[:, l],
-                ps.gains[l] * sparse_steering_matrix(1, [ps.aoas[l]], cfg_small)[0],
+                ps.gains[l] * steering_vector(1, ps.aoas[l], cfg_small),
                 rtol=1e-14)
 
     def test_column_norms(self, cfg_small, rng):

@@ -51,6 +51,13 @@ def loop_channel(y, eta, paths, cfg):
     return np.array(out)
 
 
+def steering_vector(eta, theta, cfg):
+    """Textbook sparse-array response to one AoA, element by element:
+    exp(j*2*pi*n*eta*d_bar*sin(theta)), n = 0 ... N-1."""
+    return np.array([cmath.exp(1j * 2.0 * cmath.pi * n * eta * cfg.d_bar
+                               * cmath.sin(theta)) for n in range(cfg.N)])
+
+
 def g_value(y, b: np.ndarray, aoas: np.ndarray, wavelength: float):
     """Alignment term g(y) = sum_i |b_i| cos(2*pi/wavelength*y*sin(aoa_i) - angle(b_i))."""
     y = np.asarray(y, dtype=np.float64)
