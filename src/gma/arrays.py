@@ -256,24 +256,19 @@ def channel_profile(y_values: np.ndarray, eta: int, paths: PathSet,
     """Channels at many reference positions in one shot, shape (B, N).
 
     Row b holds the channel at (y_values[b], eta), built in the order above
-    that its position picks; eta is one sparsity level, or an array of one
-    level per row. Positions are not range-checked here; grid builders only
-    produce in-region values.
+    that its position picks. Positions are not range-checked here; grid
+    builders only produce in-region values.
     """
-    levels = ([cfg.validate_eta(eta)] if np.ndim(eta) == 0
-              else [cfg.validate_eta(e) for e in np.unique(eta)])
+    eta = cfg.validate_eta(eta)
     y_values = np.asarray(y_values, dtype=np.float64)
-    eta = np.broadcast_to(np.asarray(eta).astype(np.int64), y_values.shape)
     t, on = lattice_index(y_values, cfg)
     out = np.empty((y_values.size, cfg.N), dtype=np.complex128)
     if on.any():
-        steps = LATTICE_STEPS * eta[on, None] * np.arange(cfg.N)
+        steps = LATTICE_STEPS * eta * np.arange(cfg.N)
         out[on] = element_channels(lattice_positions(t[on, None] + steps, cfg), paths, cfg)
-    for level in levels:
-        off = ~on & (eta == level)
-        if off.any():
-            out[off] = sum_paths(path_phases(y_values[off], paths.aoas, cfg),
-                                 path_matrix(level, paths, cfg))
+    if not on.all():
+        out[~on] = sum_paths(path_phases(y_values[~on], paths.aoas, cfg),
+                             path_matrix(eta, paths, cfg))
     return out
 
 

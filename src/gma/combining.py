@@ -22,10 +22,12 @@ from .arrays import (LATTICE_STEPS, ArrayConfig, channel_profile,
                      element_channels, lattice_index, lattice_positions,
                      path_matrix, path_phases, sum_paths)
 
-# (y, eta) rows scored per step of metric_profiles: every batch_sinr call,
-# and the lag rows of a run, cover at most this many rows, so their arrays
-# stay in cache; twice as many in float32 (the screening pass below), whose
-# planes then take the same bytes
+# (y, eta) rows per chunk of metric_profiles, twice as many in float32 (the
+# screening pass below), whose planes then take the same bytes: every
+# batch_sinr call, and the lag rows of a run, cover at most one chunk, so
+# their arrays stay in cache. A chunk holds whole levels, or one piece of one
+# level where a level's rows fill more than a chunk. point_values builds at
+# most this many channel entries per user a batch.
 _CHUNK = 1 << 11
 
 
@@ -341,6 +343,8 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
                     screen: bool = False):
     """Yield (eta, metric array over y_values) for each requested eta.
 
+    It serves the dense (y, eta) grids of multiuser.scan and
+    experiments.landscape; a list of points goes through point_values.
     Channels are built in the two orders of arrays. The lattice rows of a
     call, built per element, share one element-channel table per user, with
     stride s = the gcd of their index gaps and LATTICE_STEPS, and every
@@ -349,13 +353,16 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
     off-lattice rows, built factored as A(eta) f(y), share one table of path
     phases f per user and one path matrix A per level and user.
 
-    The (eta, y) rows of all levels are scored in chunks of up to _CHUNK
-    rows (2 _CHUNK when screening), and one chunk spans several levels when
-    the position grid is short. In a chunk, each run of consecutive table
-    positions of one level that the lag rule above takes goes through
-    batch_objective with its covariance built from lag rows; the chunk's
-    other rows go through one call that builds it row by row. A (y, eta) value does not depend on its
-    batch: each entry equals objective_metric at that point.
+    The rows are scored in chunks of up to c = _CHUNK rows (2 _CHUNK when
+    screening). While a level's B rows fit in a chunk, a chunk holds
+    floor(c / B) whole levels; otherwise it is one piece of one level, and
+    the pieces start at the level's first row. So each level is complete
+    when its group of chunks ends. In a chunk, each run of consecutive
+    table positions of one level that the lag rule above takes goes
+    through batch_objective with its covariance built from lag rows; the
+    chunk's other rows go through one _score_rows call that builds it row
+    by row. A (y, eta) value does not depend on its batch: each entry
+    equals objective_metric at that point.
 
     With screen (multiuser.scan's pass), each item is (eta, values, bounds).
     Where K > N > 2 the table is complex64 and the lag runs are scored in
@@ -369,12 +376,13 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
     screen, exact = bool(screen), not (screen and K > N > 2)
     p = powers.p_bar.astype(np.float64 if exact else np.float32)
     t, on = lattice_index(y_values, cfg)
-    # rows are scored lattice rows first, each class in row order
+    # rows are scored lattice rows first, each class in row order: row i
+    # of the caller is scored row back[i]
     order, n_on = np.argsort(~on, kind="stable"), int(on.sum())
+    back = np.argsort(order)
     lat = t[order[:n_on]]
-    factors = None if n_on == B else (
-        [path_phases(y_values[order[n_on:]], u.aoas, cfg) for u in users],
-        [[path_matrix(eta, u, cfg) for u in users] for eta in etas])
+    phases = None if n_on == B else [path_phases(y_values[order[n_on:]], u.aoas, cfg)
+                                     for u in users]
     # lat holds lattice indices base + s*lat: base = 0 and s = 1 until the
     # tables are built, then lat holds table positions
     tables, diag, base, s, breaks = None, None, 0, 1, np.empty(0, dtype=np.int64)
@@ -396,61 +404,39 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
                 diag = _lag_diagonal(tables, p)
                 # runs of consecutive table positions end at these rows
                 breaks = np.flatnonzero(np.diff(lat) != 1) + 1
-    cuts = np.append(breaks, n_on)  # segments never mix lattice and off-lattice rows
-    filling = {}  # level index -> [values, bounds or None], until it is complete
+    cuts = np.append(breaks, n_on)  # runs never mix lattice and off-lattice rows
     chunk = _CHUNK if exact else 2 * _CHUNK
-    for start in range(0, len(etas) * B, chunk):
-        stop = min(start + chunk, len(etas) * B)
-        vals = np.empty(stop - start)
-        spread = None if exact else np.empty(stop - start)
-        # (level index, first row, last row + 1, first position in vals);
-        # rows count in the scoring order
-        segments, by_rows, screened, row = [], [], set(), start
-        while row < stop:
-            lvl, a = divmod(row, B)
-            b = min(B, a + stop - row)
+    per = max(1, chunk // max(B, 1))  # whole levels per chunk; 1 when a level is cut
+    for first in range(0, len(etas), per):
+        group = range(first, min(first + per, len(etas)))
+        vals, spread = np.empty((len(group), B)), [None] * len(group)
+        for a in range(0, B, chunk):  # the pieces of a level that fills chunks
+            b, by_rows = min(a + chunk, B), []
             inner = cuts[(cuts > a) & (cuts < b)].tolist()
-            for x, z in zip([a] + inner, inner + [b]):
-                segment = (lvl, x, z, row - start + x - a)
-                segments.append(segment)
+            for i, lvl in enumerate(group):
                 e = LATTICE_STEPS * etas[lvl] // s
-                if diag is None or z > n_on or z - x <= e:
-                    by_rows.append(segment)
-                    continue
-                j0, w = int(lat[x]), z - x
-                lower = _lag_lower(tables, diag, p, j0, w, e, N)
-                H, at = _table_view(tables, j0, w, e, N), slice(segment[3], segment[3] + w)
-                if exact:
-                    vals[at] = batch_objective(H, powers, lower)
-                else:
-                    vals[at], spread[at] = batch_objective(H, powers, lower)
-                    screened.add(segment[3])
-            row += b - a
-        if by_rows:
-            vals[np.concatenate([np.arange(q, q + z - x) for _, x, z, q in by_rows])] = \
-                _score_rows(by_rows, etas, n_on, lat, base, s, tables if exact else None,
-                            factors, users, powers, cfg)
-        for lvl, a, b, q in segments:
-            if a == 0:
-                filling[lvl] = [np.empty(B), None]
-            filling[lvl][0][a:b] = vals[q:q + b - a]
-            if q in screened:
-                if filling[lvl][1] is None:
-                    filling[lvl][1] = np.zeros(B)
-                filling[lvl][1][a:b] = spread[q:q + b - a]
-            if b == B:  # yielded without a name here, so this frame drops it
-                yield _level(etas[lvl], filling.pop(lvl), order, screen)
-
-
-def _level(eta, arrays, order, screen):
-    """metric_profiles' item for a level: (eta, values) or (eta, values,
-    bounds) in the caller's row order; entry i of arrays is row order[i]."""
-    item = [eta]
-    for x in arrays[:1 + screen]:
-        item.append(None if x is None else np.empty(x.size))
-        if x is not None:
-            item[-1][order] = x
-    return tuple(item)
+                for x, z in zip([a] + inner, inner + [b]):
+                    if diag is None or z > n_on or z - x <= e:
+                        by_rows.append((lvl, x, z))
+                        continue
+                    j0, w = int(lat[x]), z - x
+                    got = batch_objective(_table_view(tables, j0, w, e, N), powers,
+                                          _lag_lower(tables, diag, p, j0, w, e, N))
+                    if exact:
+                        vals[i, x:z] = got
+                    else:
+                        if spread[i] is None:
+                            spread[i] = np.zeros(B)
+                        vals[i, x:z], spread[i][x:z] = got
+            if by_rows:
+                got, q = _score_rows(by_rows, etas, n_on, lat, base, s,
+                                     tables if exact else None, phases, users,
+                                     powers, cfg), 0
+                for lvl, x, z in by_rows:
+                    vals[lvl - first, x:z], q = got[q:q + z - x], q + z - x
+        for i, lvl in enumerate(group):  # in the caller's row order
+            yield (etas[lvl], vals[i][back],
+                   None if spread[i] is None else spread[i][back])[:2 + screen]
 
 
 # u of the screening bound: float32's unit roundoff, plus float64's, which
@@ -568,25 +554,27 @@ def _table_view(tables, j0, w, e, N):
     return H
 
 
-def _score_rows(segments, etas, n_on, lat, base, s, tables, factors, users, powers, cfg):
-    """Values of the segments' rows, in order, with S built row by row.
+def _score_rows(runs, etas, n_on, lat, base, s, tables, phases, users, powers, cfg):
+    """Values of the runs' rows, in order, with S built row by row.
 
-    A segment holds lattice rows only (rows below n_on) or off-lattice rows
-    only. tables is the complex128 table, or None: the channels at lattice
-    indices base + s*lat are then built element by element, with the same
-    bits, in one element_channels call per user. factors holds the
-    off-lattice rows' path phases per user and path matrices per level.
+    A run (level index, first row, last row + 1) holds lattice rows only
+    (rows below n_on) or off-lattice rows only. tables is the complex128
+    table, or None: the channels at lattice indices base + s*lat are then
+    built element by element, with the same bits, in one element_channels
+    call per user. phases holds the off-lattice rows' path phases per user,
+    and each off-lattice run builds its level's path matrix per user.
     """
     N = cfg.N
-    H = np.empty((len(users), N, sum(z - x for _, x, z, _ in segments)), complex)
+    H = np.empty((len(users), N, sum(z - x for _, x, z in runs)), complex)
     cols, idx, p = [], [], 0
-    for lvl, x, z, _ in segments:
+    for lvl, x, z in runs:
         q = p + z - x
         if z <= n_on:
             cols.append(np.arange(p, q))
             idx.append(lat[x:z] + LATTICE_STEPS * etas[lvl] // s * np.arange(N)[:, None])
         else:
-            for k, (f, A) in enumerate(zip(factors[0], factors[1][lvl])):
+            for k, (f, u) in enumerate(zip(phases, users)):
+                A = path_matrix(etas[lvl], u, cfg)
                 H[k, :, p:q] = sum_paths(f[x - n_on:z - n_on], A).T
         p = q
     if idx:
@@ -600,16 +588,28 @@ def _score_rows(segments, etas, n_on, lat, base, s, tables, factors, users, powe
 def point_values(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig) -> np.ndarray:
     """objective_metric's value at each (y_values[i], etas[i]), unchecked.
 
-    The points go through channel_stack and batch_objective, as
-    objective_metric's do, in batches that build at most _CHUNK channel
-    entries per user. A value does not depend on its batch, so each equals
-    objective_metric's at its point.
+    It scores the lists of points: the misses of a PointScores lookup and
+    the rows that multiuser.scan scores again in float64. In batches that
+    build at most _CHUNK channel entries per user, the points are ordered
+    as metric_profiles orders its rows, lattice rows first, and then by
+    level, and go through _score_rows in runs of one level. A value does
+    not depend on its batch, so each equals objective_metric's at its point.
     """
     y_values, etas = np.asarray(y_values, dtype=np.float64), np.asarray(etas)
-    out, rows = np.empty(y_values.size), max(1, _CHUNK // cfg.N)
-    for a in range(0, y_values.size, rows):
-        H = channel_stack(y_values[a:a + rows], etas[a:a + rows], users, cfg)
-        out[a:a + rows] = batch_objective(H, powers)
+    out, size = np.empty(y_values.size), max(1, _CHUNK // cfg.N)
+    for a in range(0, y_values.size, size):
+        ys, es = y_values[a:a + size], etas[a:a + size]
+        t, on = lattice_index(ys, cfg)
+        order, n_on, levels = np.lexsort((es, ~on)), int(on.sum()), sorted(set(es.tolist()))
+        lvl = np.searchsorted(levels, es[order])
+        # a run ends where the level changes or the off-lattice rows begin
+        cuts = np.flatnonzero(np.diff(lvl + len(levels) * (np.arange(ys.size) >= n_on)))
+        cuts = (cuts + 1).tolist()
+        runs = [(int(lvl[x]), x, z) for x, z in zip([0] + cuts, cuts + [ys.size])]
+        phases = None if n_on == ys.size else [path_phases(ys[order[n_on:]], u.aoas, cfg)
+                                               for u in users]
+        out[a + order] = _score_rows(runs, levels, n_on, t[order[:n_on]], 0, 1, None,
+                                     phases, users, powers, cfg)
     return out
 
 
@@ -633,8 +633,8 @@ class PointScores:
     configurations that share N, the wavelength and y_min (a ValueError
     otherwise), on which a value depends. Every lookup checks its points
     against the asking configuration, as objective_metric does, and scores
-    only the points the memo has not seen, through metric_profiles or
-    objective_metric. A (y, eta) value does not depend on its batch, so
+    only the points the memo has not seen: profiles through point_values,
+    point through objective_metric. A (y, eta) value does not depend on its batch, so
     each value returned is objective_metric's at that point. Make one per
     trial: nothing in it outlives the searches it serves.
     """
@@ -670,10 +670,8 @@ class PointScores:
 
         etas are integers. Every point must lie in its level's position
         bounds, the check of validate_position (position_bounds runs
-        validate_eta). The missing points go to one metric_profiles call
-        over the positions and levels that miss one; with one level or one
-        position, as the refinement windows and sparsity searches ask, those
-        are exactly the missing points.
+        validate_eta). The (y, eta) points the memo has not seen, and only
+        those, go to one point_values call.
         """
         self._serve(cfg)
         ys = np.asarray(y_values, dtype=np.float64).tolist()
@@ -684,14 +682,12 @@ class PointScores:
                 if not lo <= y <= hi:
                     cfg.validate_position(y, eta)  # raises with its message
         levels = [self._levels.setdefault(eta, {}) for eta in etas]
-        wanted = set(ys)
-        todo = [i for i, level in enumerate(levels) if not wanted <= level.keys()]
+        todo = list(dict.fromkeys((y, eta) for eta, level in zip(etas, levels)
+                                  for y in ys if y not in level))
         if todo:
-            new = [y for y in dict.fromkeys(ys) if any(y not in levels[i] for i in todo)]
-            for i, (_, vals) in zip(todo, metric_profiles(
-                    np.array(new), [etas[i] for i in todo], self.users,
-                    self.powers, cfg)):
-                levels[i].update(zip(new, vals.tolist()))
+            new = point_values(*map(np.array, zip(*todo)), self.users, self.powers, cfg)
+            for (y, eta), val in zip(todo, new.tolist()):
+                self._levels[eta][y] = val
         values = np.fromiter((level[y] for level in levels for y in ys),
                              np.float64, len(levels) * len(ys))
         return values.reshape(len(levels), len(ys))

@@ -8,7 +8,8 @@ from gma import arrays, combining, multiuser
 from gma.arrays import LATTICE_STEPS, ArrayConfig, PathSet, lattice_index
 from gma.combining import (LinkPowers, PointScores, batch_objective,
                            batch_sinr, batch_sum_rate, channel_stack,
-                           metric_profiles, noise_power_dbm, objective_metric)
+                           metric_profiles, noise_power_dbm, objective_metric,
+                           point_values)
 from gma.multiuser import scan
 from gma.optim import position_grid
 from gma.scenario import ScenarioParams, sample_scenario
@@ -522,6 +523,27 @@ class TestLagRows:
         # where a chunk boundary leaves at most e = 8*eta rows of a level, at
         # either end of the level
         assert by_rows - rescored <= sum(2 * 8 * eta for eta in etas)
+        # a screened chunk holds 2 _CHUNK rows, so each 8,129-row level is
+        # cut into two pieces, one lag run each
+        assert lag.call_count == len(etas) * -(-8129 // (2 * combining._CHUNK)) == 84
+
+    def test_chunks_hold_whole_levels_or_one_piece_of_one(self, cfg_small, rng):
+        # K = 1 takes no lag rows: each chunk is one _score_rows call, of
+        # (level index, first row, last row + 1) runs
+        users, powers = [random_paths(rng, L=3)], LinkPowers(p_bar=np.array([2.0]))
+        levels = [1, 2, 3, 4, 5]
+        pts = position_grid(0.0, cfg_small.d * 9 / 8, cfg_small.d / 8)
+        for B, chunk, want in (
+                (5, 12, [[(0, 0, 5), (1, 0, 5)], [(2, 0, 5), (3, 0, 5)], [(4, 0, 5)]]),
+                (10, 4, [[(lvl, a, min(a + 4, 10))] for lvl in range(5) for a in (0, 4, 8)])):
+            with mock.patch.object(combining, "_CHUNK", chunk), \
+                    mock.patch.object(combining, "_score_rows",
+                                      wraps=combining._score_rows) as scored:
+                profiles = list(metric_profiles(pts[:B], levels, users, powers, cfg_small))
+            assert [call.args[0] for call in scored.call_args_list] == want
+            for eta, vals in profiles:
+                assert vals.tolist() == [objective_metric(y, eta, users, powers, cfg_small)
+                                         for y in pts[:B]]
 
 
 class TestPointScores:
@@ -639,11 +661,12 @@ class TestPointScores:
         rows, points = [], []
 
         def counted(y_values, etas, *args):
-            for eta, vals in metric_profiles(y_values, etas, *args):
-                rows.append((eta, np.asarray(y_values).tolist()))
-                yield eta, vals
+            ys, levels = np.asarray(y_values).tolist(), np.asarray(etas).tolist()
+            for eta in dict.fromkeys(levels):
+                rows.append((eta, [y for y, e in zip(ys, levels) if e == eta]))
+            return point_values(y_values, etas, *args)
 
-        monkeypatch.setattr(combining, "metric_profiles", counted)
+        monkeypatch.setattr(combining, "point_values", counted)
         monkeypatch.setattr(combining, "objective_metric",
                             lambda *a: points.append(a[:2]) or objective_metric(*a))
         scores = PointScores(users, powers)
@@ -661,3 +684,9 @@ class TestPointScores:
         scores.point(ys[9], 1, cfg_small)
         scores.point(ys[9], 1, cfg_small)
         assert points == [(float(ys[9]), 1)]
+        # a mixed ask scores exactly its misses, not positions x levels
+        scores.profiles([ys[6]], [1], cfg_small)
+        scores.profiles([ys[7]], [3], cfg_small)
+        rows.clear()
+        scores.profiles(ys[6:8], [1, 3], cfg_small)
+        assert rows == [(1, [ys[7]]), (3, [ys[6]])]

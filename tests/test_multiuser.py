@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings as hyp_settings, strategies as st
 from gma import combining, multiuser
 from gma.arrays import ArrayConfig, PathSet
 from gma.baselines import exhaustive_search
-from gma.combining import LinkPowers, metric_profiles, objective_metric
+from gma.combining import LinkPowers, metric_profiles, objective_metric, point_values
 from gma.multiuser import (grid_position_search, optimize_multiuser, scan,
                            sparsity_search)
 from gma.optim import GridSpec, OptimizerSettings, level_grids, position_grid
@@ -278,9 +278,8 @@ class TestOptimizeMultiuser:
         compared, scored = [], []
 
         def memo_scored(y_values, etas, *args):
-            for eta, vals in metric_profiles(y_values, etas, *args):
-                scored.append(vals.size)
-                yield eta, vals
+            scored.append(np.size(y_values))
+            return point_values(y_values, etas, *args)
 
         profiles, point = combining.PointScores.profiles, combining.PointScores.point
 
@@ -293,7 +292,7 @@ class TestOptimizeMultiuser:
             compared.append(1)
             return point(self, y, eta, cfg)
 
-        monkeypatch.setattr(combining, "metric_profiles", memo_scored)
+        monkeypatch.setattr(combining, "point_values", memo_scored)
         monkeypatch.setattr(combining, "objective_metric",
                             lambda *a: scored.append(1) or objective_metric(*a))
         monkeypatch.setattr(combining.PointScores, "profiles", looked_up)
