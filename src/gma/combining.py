@@ -14,6 +14,7 @@ tests check this kernel against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +23,13 @@ from .arrays import (LATTICE_STEPS, ArrayConfig, channel_profile,
                      element_channels, lattice_index, lattice_positions,
                      path_matrix, path_phases, sum_paths)
 
-# (y, eta) rows per chunk of metric_profiles, twice as many in float32 (the
-# screening pass below), whose planes then take the same bytes: every
-# batch_sinr call, and the lag rows of a run, cover at most one chunk, so
-# their arrays stay in cache. A chunk holds whole levels, or one piece of one
-# level where a level's rows fill more than a chunk. point_values builds at
+# (y, eta) rows per chunk of metric_profiles in float64, and four times as
+# many in float32 (the screening pass below), so that a default 8,129-row
+# level is one lag run: every batch_sinr call, and the lag rows of a run,
+# cover at most one chunk. A chunk holds whole levels, or one piece of one
+# level where a level's rows fill more than a chunk. The kernel's planes
+# stay within the bytes of K users' planes of _CHUNK float64 rows
+# (_Run.group_size), so that they stay in cache. point_values builds at
 # most this many channel entries per user a batch.
 _CHUNK = 1 << 11
 
@@ -120,10 +123,25 @@ class LinkPowers:
 # operations than the row-by-row build; other rows (short runs, off-lattice
 # rows, single-point calls) build S row by row.
 #
+# The workspace rule. A metric_profiles call whose runs take the lag rows
+# allocates one buffer, its _Workspace, sized once from its chunk and the
+# largest level's overhang (N-1)*e, and every lag run carves its arrays out
+# of it: the lag rows, S's entries, the channel planes, the kernel's
+# temporaries, the SINRs and _screen's arrays. So a run maps no fresh
+# pages, and the buffer is the call's: two calls in flight never share
+# one, and it is freed when the call ends. To keep it small, the lag build
+# adds its users up in as few groups as the buffer holds, and the kernel
+# factors S once and then solves for its users in groups (_Run.group_size).
+# Every operation is still one of the plain kernel, on the same operands,
+# so no value changes a bit. A batch scored row by row gets a buffer of its
+# own (_Run.rows).
+#
 # The screening pass. Where K > N > 2, multiuser.scan asks metric_profiles
 # to screen: its lag runs are scored in float32, off a complex64 table, and
 # each such row gets a float32 sum rate R~ and a bound D >= |R~ - R| on its
-# distance from the float64 value R (_screen derives it). Every other row
+# distance from the float64 value R (_screen derives it, in the run's
+# workspace). A screened chunk holds a level of up to 4 _CHUNK rows whole,
+# so such a level is one lag run and one _screen call. Every other row
 # (short runs, off-lattice rows) is scored in float64 as above. The scan
 # then scores in float64 every row that the bounds cannot rule out, so its
 # result is the one of scoring every row in float64. For K <= N the unit
@@ -138,13 +156,13 @@ def batch_sinr(H: np.ndarray, powers: LinkPowers, lower=None) -> np.ndarray:
             candidate b. complex64 is computed in float32 (the dtype rule
             above); any other dtype is taken as complex128.
         powers: K link powers.
-        lower: the lower triangle of S, as _covariance_lower returns it, when
-            the caller has built it (the lag rule above); None builds it from
-            H. Its entries in columns j >= 1 are overwritten: its diagonal
-            then holds the pivots d_j.
+        lower: a lag run's _Run (the lag rule above): S's lower triangle,
+            built from lag rows in the workspace of the metric_profiles
+            call, which the kernel then uses; None builds S from H.
 
     Returns:
         Real array of shape (B, K): float32 for complex64 H, else float64.
+        For a lag run it is a view of the call's workspace.
     """
     H = np.asarray(H)
     if H.dtype != np.complex64:
@@ -159,17 +177,90 @@ def batch_sinr(H: np.ndarray, powers: LinkPowers, lower=None) -> np.ndarray:
         power = np.ascontiguousarray(np.abs(H[:, 0, :]) ** 2)
         return p[0] * power.sum(axis=1)[:, None]
     planes = H.transpose(1, 2, 0)
-    # (K, B) planes per element n: the substitution overwrites them after
-    # the covariance has read them
-    hr = [planes[:, n].real.copy() for n in range(N)]
-    hi = [planes[:, n].imag.copy() for n in range(N)]
-    Sr, Si = _covariance_lower(hr, hi, p) if lower is None else lower
-    pu = p[:, None] * _forward_substitute(Sr, Si, hr, hi)
+    run = _Run.rows(planes, p) if lower is None else lower
+    # the first rows of the group temporaries x, y are _factor's xs, ys
+    _factor(run.Sr, run.Si, run.lr, run.li, *run.work[-2:, 0])
     # 1 - p_k u_k > 0 analytically; the floor only guards fp rounding (and
-    # is float32's smallest normal number there). C order again, so that
-    # batch_sum_rate sums each row the same way.
+    # is float32's smallest normal number there)
     floor = max(1e-300, float(np.finfo(real).tiny))
-    return np.ascontiguousarray((pu / np.maximum(1.0 - pu, floor)).T)
+    for a in range(0, K, run.g):
+        zr, zi, x, y = run.group(a, planes)
+        pu = np.multiply(p[a:a + len(x), None], _substitute(run.Sr, run.Si, zr, zi, x, y), zr[0])
+        gamma = np.divide(pu, np.maximum(np.subtract(1.0, pu, x), floor, out=x), x)
+        # C order, so that batch_sum_rate sums each row the same way
+        np.copyto(run.out[:, a:a + len(x)], gamma.T)
+    return run.out
+
+
+class _Run:
+    """What the kernel reads and writes for a batch of B rows, carved from
+    one flat buffer: a lag run's workspace (_lag_lower), or one allocated
+    for the batch (rows).
+
+    Sr and Si hold S's lower triangle, and sjj, when set, its diagonal
+    j >= 1 before the kernel factors it. The kernel solves for the users in
+    groups of g, all in work: a group's channel planes, one (users, B) pair
+    per element, then its temporaries x and y. loaded is the first user of
+    the group whose planes work holds, and lr, li are _factor's
+    temporaries. out holds the (B, K) SINRs, and spare is the rest of the
+    buffer, free once they are out: _screen's.
+    """
+
+    def __init__(self, buf, K, N, B, g):
+        self.g, self.loaded, self.Sr, self.Si, self.sjj = g, None, None, None, None
+        self.out = buf[:K * B].reshape(B, K)
+        self.lr, self.li = buf[K * B:(K + 2) * B].reshape(2, B)
+        self.spare = buf[(K + 2) * B:]
+        self.work = self.spare[:2 * (N + 1) * g * B].reshape(2 * N + 2, g, B)
+        *planes, x, y = self.work
+        self.views = planes[:N], planes[N:], x, y  # a whole group's
+
+    @staticmethod
+    def size(K, N, B, g):
+        """The entries of a run's buffer."""
+        return (K + 2) * B + max(2 * (N + 1) * g * B, (K + 3) * B)
+
+    @staticmethod
+    def group_size(K, B, itemsize):
+        """Users per group: as many as keep a group's planes within the
+        bytes of K users' planes of _CHUNK float64 rows, and at least one."""
+        return max(1, min(K, K * 8 * _CHUNK // (B * itemsize)))
+
+    @classmethod
+    def rows(cls, planes, p):
+        """The run of (K, N, B) complex planes, with S built row by row."""
+        K, N, B = planes.shape
+        run = cls(np.empty(cls.size(K, N, B, K), p.dtype), K, N, B, K)
+        zr, zi, _, _ = run.group(0, planes)
+        run.Sr, run.Si = _covariance_lower(zr, zi, p)
+        return run
+
+    def group(self, a, planes):
+        """The channel planes (lists over the elements) and temporaries of
+        the group of users from a, its planes copied from the (K, N, B)
+        complex planes."""
+        zr, zi, x, y = self.views
+        g = min(self.g, len(planes) - a)
+        if g < self.g:
+            zr, zi = [z[:g] for z in zr], [z[:g] for z in zi]
+            x, y = x[:g], y[:g]
+        if self.loaded != a:
+            h = planes[a:a + g].transpose(1, 0, 2)
+            N = len(zr)
+            np.copyto(self.work[:N, :g], h.real)
+            np.copyto(self.work[N:2 * N, :g], h.imag)
+            self.loaded = a
+        return zr, zi, x, y
+
+
+def _carve(buf, *shapes):
+    """Consecutive C-contiguous views at the start of the flat buffer buf."""
+    views, a = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(buf[a:a + n].reshape(shape))
+        a += n
+    return views
 
 
 def _covariance_lower(hr, hi, p):
@@ -196,53 +287,75 @@ def _covariance_lower(hr, hi, p):
     return Sr, Si
 
 
-def _lag_lower(tables, diag, p, j0, w, e, N):
-    """Lower triangle of S for w lattice rows at table positions j0, j0+1, ...
+class _Workspace:
+    """The buffer of one metric_profiles call's lag runs (the lag rule
+    above), which every run reuses and which goes with the call. Sized once
+    for runs of up to rows rows, whose lag rows span up to width table
+    positions, and whose kernel takes its users in groups of g."""
+
+    def __init__(self, K, N, rows, width, real):
+        self.g = _Run.group_size(K, rows, np.dtype(real).itemsize)
+        self.buf = np.empty(2 * (N - 1) * width + (N - 1) ** 2 * rows
+                            + max(6 * width, _Run.size(K, N, rows, self.g)), real)
+
+
+def _lag_lower(tables, diag, p, j0, w, e, N, ws):
+    """The _Run of w lattice rows at table positions j0, j0+1, ...
 
     tables is the (K, T) element-channel table, diag its (T,) diagonal
-    R[0] + 1, p the powers in diag's dtype, and e the table steps between
-    elements. Entry (j+m, j) of row b is R[m*e] at table position
-    j0 + b + j*e, so each lag row covers the run plus its (N-1-m)*e
-    overhang, and every entry is a slice of one.
+    R[0] + 1, p the powers in diag's dtype, e the table steps between
+    elements and ws the call's _Workspace, which the run's arrays are
+    carved from. Entry (j+m, j) of row b is R[m*e] at table
+    position j0 + b + j*e, so each lag row covers the run plus its
+    (N-1-m)*e overhang, and every entry is a slice of one.
     """
-    K, width, real = len(p), w + (N - 1) * e, diag.dtype
-    # what S keeps is allocated before the scratch block, which is then
-    # freed in one piece: the lag rows, and copies of the (N-1)^2 entries
-    # that _forward_substitute writes (columns j >= 1)
-    lags = np.empty((2, N - 1, width), real)
-    own = iter(np.empty(((N - 1) ** 2, w), real))
-    # the users' planes over the span, flattened: user k's position x is
-    # entry k*width + x, so a product of two shifted slices is one
+    K, width = len(p), w + (N - 1) * e
+    # what S keeps comes first: the lag rows, and the (N-1)^2 entries that
+    # the kernel writes (columns j >= 1); the rest holds the lag build's
+    # arrays, then the run's
+    lags, own = _carve(ws.buf, (2, N - 1, width), ((N - 1) ** 2, w))
+    rest = ws.buf[lags.size + own.size:]
+    # the lag rows add up the users in groups of as many as the rest holds.
+    # A group's planes over the span are flattened: its user k's position x
+    # is entry k*width + x, so a product of two shifted slices is one
     # contiguous operation, and its entries past a user's width are unused
-    re, im, gr, gi, t, v = np.empty((6, K * width), real)
-    span = tables[:, j0:j0 + width]
-    np.copyto(re.reshape(K, width), span.real)
-    np.copyto(im.reshape(K, width), span.imag)
-    np.multiply(p[:, None], re.reshape(K, width), out=gr.reshape(K, width))
-    np.multiply(p[:, None], im.reshape(K, width), out=gi.reshape(K, width))
-    for m in range(1, N):
-        # the operations of _covariance_lower, where element j+m is row i
-        n, size = width - m * e, K * width - m * e
-        tm, vm = t[:size], v[:size]
-        per_user = [tm[k * width:k * width + n] for k in range(K)]
-        np.multiply(gr[m * e:], re[:size], out=tm)
-        tm += np.multiply(gi[m * e:], im[:size], out=vm)
-        _add_rows(per_user, 0.0, out=lags[0, m - 1, :n])
-        np.multiply(gi[m * e:], re[:size], out=tm)
-        tm -= np.multiply(gr[m * e:], im[:size], out=vm)
-        _add_rows(per_user, 0.0, out=lags[1, m - 1, :n])
+    step = min(K, rest.size // (6 * width))
+    for a in range(0, K, step):
+        g = min(step, K - a)
+        re, im, gr, gi, t, v = _carve(rest, *[(g * width,)] * 6)
+        span = tables[a:a + g, j0:j0 + width]
+        np.copyto(re.reshape(g, width), span.real)
+        np.copyto(im.reshape(g, width), span.imag)
+        np.multiply(p[a:a + g, None], re.reshape(g, width), out=gr.reshape(g, width))
+        np.multiply(p[a:a + g, None], im.reshape(g, width), out=gi.reshape(g, width))
+        for m in range(1, N):
+            # the operations of _covariance_lower, where element j+m is row i
+            n, size = width - m * e, g * width - m * e
+            tm, vm = t[:size], v[:size]
+            per_user = [tm[k * width:k * width + n] for k in range(g)]
+            real, imag = lags[:, m - 1, :n]
+            np.multiply(gr[m * e:], re[:size], out=tm)
+            tm += np.multiply(gi[m * e:], im[:size], out=vm)
+            _add_rows(per_user, real if a else 0.0, out=real)
+            np.multiply(gi[m * e:], re[:size], out=tm)
+            tm -= np.multiply(gr[m * e:], im[:size], out=vm)
+            _add_rows(per_user, imag if a else 0.0, out=imag)
     Sr = [[None] * i + [diag[j0 + i * e:j0 + i * e + w]] for i in range(N)]
     Si = [[None] * i for i in range(N)]
     for m in range(1, N):
         for j in range(N - m):
             Sr[j + m][j], Si[j + m][j] = lags[:, m - 1, j * e:j * e + w]
+    run = _Run(rest, K, N, w, ws.g)
+    run.sjj = [Sr[j][j] for j in range(1, N)]
+    own = iter(own)
     for rows in (Sr, Si):
         for i in range(1, N):
             for j in range(1, len(rows[i])):
                 cell = next(own)
                 cell[...] = rows[i][j]
                 rows[i][j] = cell
-    return Sr, Si
+    run.Sr, run.Si = Sr, Si
+    return run
 
 
 def _lag_diagonal(tables, p):
@@ -266,41 +379,60 @@ def _add_rows(terms, start, out=None):
     return acc
 
 
-def _forward_substitute(Sr, Si, zr, zi):
-    """u_k = h_k^H S^-1 h_k for every user, shape (K, B).
+# The kernel factors S = L D L^H in place, right-looking (_factor), then
+# solves L z_k = h_k for each group of users and reads u_k = h_k^H S^-1 h_k =
+# sum_j |z_kj|^2 / d_j off z (_substitute). Every operation is the one a
+# solve interleaved with the factorization makes, on the same operands.
 
-    Factors S = L D L^H in place, right-looking, and solves L z_k = h_k for
-    all users along the way, overwriting the channel planes zr, zi with z.
-    Then u_k = sum_j |z_kj|^2 / d_j. It writes S's entries (i, j) with
-    j >= 1 and the planes of elements i >= 1 only: column 0 and element 0
-    are read, never written, so they may be views of shared arrays.
-    """
-    u = np.zeros_like(zr[0])
+def _factor(Sr, Si, lr, li, xs, ys):
+    """S = L D L^H in place, right-looking: Sr[j][j] becomes the pivot d_j,
+    and entry (i, j), i > j, becomes L_ij. lr, li, xs and ys are (B,)
+    temporaries. L_ij takes S_ij's place in the lists by trading it with
+    lr and li, so the arrays below the diagonal, and lr and li, are
+    written; S_00 is only read, so it may be a view of a shared array."""
     N = len(Sr)
     for j in range(N):
         d = Sr[j][j]
-        t = zr[j] * zr[j]
-        t += zi[j] * zi[j]
-        t /= d
-        u += t
-        for i in range(j + 1, N):
-            lr, li = Sr[i][j] / d, Si[i][j] / d  # L_ij
+        # the rows from the bottom: row i reads S_mj of the rows m <= i,
+        # and then L_ij takes the place of S_ij
+        for i in range(N - 1, j, -1):
+            np.divide(Sr[i][j], d, lr)
+            np.divide(Si[i][j], d, li)
             for m in range(j + 1, i + 1):
                 # S_im -= L_ij conj(S_mj), the Schur complement update
-                x = lr * Sr[m][j]
-                x += li * Si[m][j]
-                Sr[i][m] -= x
+                np.multiply(lr, Sr[m][j], xs)
+                xs += np.multiply(li, Si[m][j], ys)
+                Sr[i][m] -= xs
                 if m < i:
-                    x = li * Sr[m][j]
-                    x -= lr * Si[m][j]
-                    Si[i][m] -= x
-            x = lr * zr[j]
-            x -= li * zi[j]
+                    np.multiply(li, Sr[m][j], xs)
+                    xs -= np.multiply(lr, Si[m][j], ys)
+                    Si[i][m] -= xs
+            Sr[i][j], lr = lr, Sr[i][j]
+            Si[i][j], li = li, Si[i][j]
+
+
+def _substitute(L, Li, zr, zi, x, y):
+    """u = sum_j |z_j|^2 / d_j for the (users, B) planes zr, zi of h, with
+    L z = h, as _factor leaves L and the pivots d in L and Li; u is
+    returned in zr[0]. It overwrites the planes, and x and y are
+    temporaries of their shape."""
+    N = len(L)
+    for j in range(N):
+        for i in range(j + 1, N):
+            lr, li = L[i][j], Li[i][j]
+            np.multiply(lr, zr[j], x)
+            x -= np.multiply(li, zi[j], y)
             zr[i] -= x
-            x = lr * zi[j]
-            x += li * zr[j]
+            np.multiply(lr, zi[j], x)
+            x += np.multiply(li, zr[j], y)
             zi[i] -= x
-    return u
+        # plane j is not read again: |z_j|^2 / d_j in its place
+        t = np.multiply(zr[j], zr[j], zr[j])
+        t += np.multiply(zi[j], zi[j], zi[j])
+        t /= L[j][j]
+        if j:
+            zr[0] += t
+    return zr[0]
 
 
 def batch_sum_rate(H: np.ndarray, powers: LinkPowers, lower=None):
@@ -313,17 +445,15 @@ def batch_sum_rate(H: np.ndarray, powers: LinkPowers, lower=None):
     """
     H = np.asarray(H)
     if H.dtype != np.complex64:
-        return np.log2(1.0 + batch_sinr(H, powers, lower)).sum(axis=1)
+        g = batch_sinr(H, powers, lower)
+        return np.log2(np.add(g, 1.0, g), g).sum(axis=1)
     if powers.K == 1:
         raise ValueError("the screening bound needs K > 1")
     p = powers.p_bar.astype(np.float32)
     if lower is None:
-        planes = H.transpose(1, 2, 0)
-        lower = _covariance_lower([planes[:, n].real.copy() for n in range(H.shape[2])],
-                                  [planes[:, n].imag.copy() for n in range(H.shape[2])], p)
-    Sr = lower[0]
-    sjj = np.stack([Sr[j][j] for j in range(1, len(Sr))])  # before the kernel
-    return _screen(batch_sinr(H, powers, lower), Sr, sjj, p)
+        lower = _Run.rows(H.transpose(1, 2, 0), p)
+        lower.sjj = [lower.Sr[j][j].copy() for j in range(1, len(lower.Sr))]
+    return _screen(batch_sinr(H, powers, lower), lower.Sr, lower.sjj, p, lower.spare)
 
 
 def batch_objective(H: np.ndarray, powers: LinkPowers, lower=None):
@@ -353,16 +483,18 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
     off-lattice rows, built factored as A(eta) f(y), share one table of path
     phases f per user and one path matrix A per level and user.
 
-    The rows are scored in chunks of up to c = _CHUNK rows (2 _CHUNK when
-    screening). While a level's B rows fit in a chunk, a chunk holds
-    floor(c / B) whole levels; otherwise it is one piece of one level, and
-    the pieces start at the level's first row. So each level is complete
-    when its group of chunks ends. In a chunk, each run of consecutive
-    table positions of one level that the lag rule above takes goes
-    through batch_objective with its covariance built from lag rows; the
-    chunk's other rows go through one _score_rows call that builds it row
-    by row. A (y, eta) value does not depend on its batch: each entry
-    equals objective_metric at that point.
+    The rows are scored in chunks of up to c = _CHUNK rows (4 _CHUNK when
+    screening, so that a default level is one lag run). While a level's B
+    rows fit in a chunk, a chunk holds floor(c / B) whole levels; otherwise
+    it is one piece of one level, and the pieces start at the level's first
+    row. So each level is complete when its group of chunks ends. In a
+    chunk, each run of consecutive table positions of one level that the
+    lag rule above takes goes through batch_objective with its covariance
+    built from lag rows, in the call's workspace (the workspace rule
+    above), which is freed when the call ends; the chunk's other rows go
+    through one _score_rows call that builds it row by row. A (y, eta)
+    value does not depend on its batch: each entry equals objective_metric
+    at that point.
 
     With screen (multiuser.scan's pass), each item is (eta, values, bounds).
     Where K > N > 2 the table is complex64 and the lag runs are scored in
@@ -375,13 +507,17 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
     etas, B, N, K = list(etas), y_values.size, cfg.N, len(users)
     screen, exact = bool(screen), not (screen and K > N > 2)
     p = powers.p_bar.astype(np.float64 if exact else np.float32)
-    t, on = lattice_index(y_values, cfg)
+    lat, on = lattice_index(y_values, cfg)
+    n_on = int(on.sum())
     # rows are scored lattice rows first, each class in row order: row i
-    # of the caller is scored row back[i]
-    order, n_on = np.argsort(~on, kind="stable"), int(on.sum())
-    back = np.argsort(order)
-    lat = t[order[:n_on]]
-    phases = None if n_on == B else [path_phases(y_values[order[n_on:]], u.aoas, cfg)
+    # of the caller is scored row back[i] (no copy where the caller's rows
+    # come in that order, as a scan's do)
+    order = back = slice(None)
+    if not on[:n_on].all():
+        order = np.argsort(~on, kind="stable")
+        back = np.argsort(order)
+    lat = lat[order][:n_on]
+    phases = None if n_on == B else [path_phases(y_values[order][n_on:], u.aoas, cfg)
                                      for u in users]
     # lat holds lattice indices base + s*lat: base = 0 and s = 1 until the
     # tables are built, then lat holds table positions
@@ -405,7 +541,9 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
                 # runs of consecutive table positions end at these rows
                 breaks = np.flatnonzero(np.diff(lat) != 1) + 1
     cuts = np.append(breaks, n_on)  # runs never mix lattice and off-lattice rows
-    chunk = _CHUNK if exact else 2 * _CHUNK
+    chunk = _CHUNK if exact else 4 * _CHUNK
+    ws = None if diag is None else _Workspace(
+        K, N, min(chunk, B), min(chunk, B) + (N - 1) * LATTICE_STEPS * max(etas) // s, p.dtype)
     per = max(1, chunk // max(B, 1))  # whole levels per chunk; 1 when a level is cut
     for first in range(0, len(etas), per):
         group = range(first, min(first + per, len(etas)))
@@ -421,7 +559,7 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
                         continue
                     j0, w = int(lat[x]), z - x
                     got = batch_objective(_table_view(tables, j0, w, e, N), powers,
-                                          _lag_lower(tables, diag, p, j0, w, e, N))
+                                          _lag_lower(tables, diag, p, j0, w, e, N, ws))
                     if exact:
                         vals[i, x:z] = got
                     else:
@@ -444,14 +582,16 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
 _U = 2.0 ** -24 + 2.0 ** -53
 
 
-def _screen(gammas, Sr, sjj, p):
+def _screen(gammas, Sr, sjj, p, spare=None):
     """(R~, D) of w float32 rows: R~ = sum_k log2(1 + gammas[:, k]), and
     D >= |R~ - R|, where R is the row's float64 sum rate, or D = +inf.
 
     gammas is batch_sinr's float32 (w, K) result, and Sr the real lower
     triangle of S it factored in place: its diagonal holds the pivots d_j.
     Both are overwritten. sjj[j - 1] holds S_jj before the factorization,
-    j = 1 ... N - 1; p are the float32 powers.
+    j = 1 ... N - 1; p are the float32 powers. spare, a flat float32
+    buffer of at least (K + 3) w entries, holds the temporaries and the
+    result; None allocates one.
 
     The bound. Let u = _U, g_m = m u / (1 - m u), and S^ =
     diag(S)^-1/2 S diag(S)^-1/2, whose diagonal is 1 and whose eigenvalues
@@ -518,8 +658,10 @@ def _screen(gammas, Sr, sjj, p):
     c1 = cnu / ((1 - gn) * (1 - g2) * lead) * (1 + 2.0 ** -18)
     c0 = (gn / (1 - gn) / (1 - g2) + tau) * (1 + 2.0 ** -18)
     up = (1 + 2.0 ** -16) / np.log(2.0)
-    # the arrays are reused in place: fresh ones would map fresh pages
-    g = np.ascontiguousarray(gammas.T)  # (K, w): numpy loops over the rows
+    if spare is None:
+        spare = np.empty((K + 3) * w, gammas.dtype)
+    g, q, spread, rate = _carve(spare, (K, w), (w,), (w,), (w,))
+    np.copyto(g, gammas.T)  # (K, w): numpy loops over the rows
     with np.errstate(all="ignore"):
         det = Sr[1][1]
         for j in range(1, N):
@@ -529,14 +671,15 @@ def _screen(gammas, Sr, sjj, p):
                 det *= d
         det -= 2 * cnu / lead
         # q c1 + c0, or +inf where rho > 1/4, that is lambda^ < 4 c N u
-        q = np.divide(c1, det, out=np.full(w, np.inf, det.dtype),
-                      where=det >= 3 * cnu / lead)
+        q.fill(np.inf)
+        np.divide(c1, det, out=q, where=det >= 3 * cnu / lead)
         q += c0
         a = np.multiply(g, q, out=g)
         # 1/(1 - a_k), +inf where a_k >= 1
         np.maximum(np.subtract(1 - tau * (1 + 2.0 ** -18), a, out=a), 0.0, out=a)
-        spread = np.full(K, up, g.dtype) @ np.reciprocal(a, out=a)
-        rate = np.log2(np.add(gammas, 1, out=gammas), out=gammas) @ np.ones(K, g.dtype)
+        np.matmul(np.full(K, up, g.dtype), np.reciprocal(a, out=a), out=spread)
+        np.matmul(np.log2(np.add(gammas, 1, out=gammas), out=gammas), np.ones(K, g.dtype),
+                  out=rate)
         spread += 2.0 ** -16 * rate
         spread += K * (2.0 ** -16 - up - (1 + 2.0 ** -16) * np.log2(1 - g2))
         bad = ~(spread < np.inf)

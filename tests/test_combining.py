@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -519,13 +520,72 @@ class TestLagRows:
         assert sum(call.args[0].shape[0] for call in sinr.call_args_list) == \
             evals + rescored
         assert lag_rows + by_rows == evals + rescored
-        # the grid is all lattice rows, so the pass builds S row by row only
-        # where a chunk boundary leaves at most e = 8*eta rows of a level, at
-        # either end of the level
-        assert by_rows - rescored <= sum(2 * 8 * eta for eta in etas)
-        # a screened chunk holds 2 _CHUNK rows, so each 8,129-row level is
-        # cut into two pieces, one lag run each
-        assert lag.call_count == len(etas) * -(-8129 // (2 * combining._CHUNK)) == 84
+        # the grid is all lattice rows, and a screened chunk holds 4 _CHUNK
+        # rows, so each 8,129-row level is one lag run, and the pass builds S
+        # row by row for the re-scored rows alone
+        assert by_rows == rescored
+        assert lag.call_count == len(etas) == 42
+
+    @staticmethod
+    def screened_instance(seed, K, N, levels, points):
+        """A screened pass's arguments: K > N > 2 users on a d/8 grid."""
+        r = np.random.default_rng(seed)
+        d = WAVELENGTH / 2.0
+        cfg = ArrayConfig(M=16, N=N, wavelength=WAVELENGTH, y_min=0.0,
+                          y_max=(N - 1) * max(levels) * d + points * d / 8)
+        pts = position_grid(*cfg.position_bounds(max(levels)), d / 8)
+        users = [random_paths(r, L=3) for _ in range(K)]
+        return pts, levels, users, LinkPowers(p_bar=r.uniform(0.5, 3.0, K)), cfg
+
+    def test_interleaved_calls_keep_their_own_workspaces(self):
+        # two screened passes in flight at once, with other users and
+        # levels, the second needing the larger workspace: each yields what
+        # it yields alone. A small _CHUNK cuts every level into pieces, so
+        # each generator scores lag runs between the other's yields.
+        a = self.screened_instance(1, 5, 4, [1, 2, 4], 90)
+        b = self.screened_instance(2, 7, 4, [3, 1, 5], 150)
+        with mock.patch.object(combining, "_CHUNK", 16):
+            together = list(zip(metric_profiles(*a, screen=True),
+                                metric_profiles(*b, screen=True)))
+            alone = [list(metric_profiles(*x, screen=True)) for x in (a, b)]
+        for got, want in zip(zip(*together), alone):
+            assert len(got) == len(want) == 3
+            for (eta, vals, bounds), (eta0, vals0, bounds0) in zip(got, want):
+                assert bounds0 is not None  # the level was screened
+                assert eta == eta0
+                assert vals.tolist() == vals0.tolist()
+                assert bounds.tolist() == bounds0.tolist()
+
+    @pytest.mark.parametrize("screen", [False, True])
+    def test_user_groups_keep_every_bit(self, screen):
+        # the kernel factors S once and solves for its users in groups;
+        # one user a group or all at once, every value and bound is the same
+        args = self.screened_instance(3, 6, 4, [1, 2, 3], 200)
+        with mock.patch.object(combining._Run, "group_size", return_value=1):
+            one = list(metric_profiles(*args, screen=screen))
+        with mock.patch.object(combining._Run, "group_size", return_value=6):
+            whole = list(metric_profiles(*args, screen=screen))
+        assert [x[0] for x in one] == [x[0] for x in whole] == [1, 2, 3]
+        assert all(np.array_equal(x, y) for a, b in zip(one, whole)
+                   for x, y in zip(a[1:], b[1:]))
+
+    def test_default_scan_working_set(self):
+        # the default scan's working set sets the peak RSS of compare and
+        # sweep (sweep's warm-up runs it): its tracemalloc peak, 2.28 MB
+        # with a fresh scratch block per lag run of half a level and 2.29 MB
+        # with one workspace per scan and one lag run per level (numpy
+        # 2.4.6, Python 3.11), may grow by 5%
+        sc = sample_scenario(ScenarioParams(), 0)
+        args = ([(sc.cfg.feasible_etas(), sc.cfg)], sc.cfg.wavelength / 16.0,
+                sc.users, sc.powers)
+        scan(*args)  # numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            scan(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 2.29e6
 
     def test_chunks_hold_whole_levels_or_one_piece_of_one(self, cfg_small, rng):
         # K = 1 takes no lag rows: each chunk is one _score_rows call, of
