@@ -19,17 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import screening
 from .arrays import (LATTICE_STEPS, ArrayConfig, channel_profile,
                      element_channels, lattice_index, lattice_positions,
                      path_matrix, path_phases, sum_paths)
 
 # (y, eta) rows per chunk of metric_profiles in float64, and four times as
-# many in float32 (the screening pass below), so that a default 8,129-row
+# many in the screening pass (see screening), so that a default 8,129-row
 # level is one lag run: every batch_sinr call, and the lag rows of a run,
 # cover at most one chunk. A chunk holds whole levels, or one piece of one
-# level where a level's rows fill more than a chunk. The kernel's planes
-# stay within the bytes of K users' planes of _CHUNK float64 rows
-# (_Run.group_size), so that they stay in cache. point_values builds at
+# level where a level's rows fill more than a chunk. point_values builds at
 # most this many channel entries per user a batch.
 _CHUNK = 1 << 11
 
@@ -100,10 +99,11 @@ class LinkPowers:
 # bits to the batch shape. Small arrays also keep a call's working set in
 # cache and off freshly mapped pages.
 #
-# The dtype rule. The kernel computes in the dtype of its planes: complex128
-# channels give float64 planes, and complex64 channels float32 ones, with
-# the powers rounded to float32. Every value the package returns, stores or
-# compares is float64; float32 serves only the screening pass below.
+# The dtype rule. complex128 channels go through this kernel, in float64.
+# complex64 channels go through the screening kernel (screening), in
+# complex64 arithmetic with the powers rounded to float32. Every value the
+# package returns, stores or compares is float64; float32 serves only the
+# screening pass of the K > N > 2 lattice scan.
 #
 # No pivoting is needed: S is the identity plus a positive semidefinite
 # matrix, so every pivot d_j is at least 1.
@@ -127,68 +127,52 @@ class LinkPowers:
 # allocates one buffer, its _Workspace, sized once from its chunk and the
 # largest level's overhang (N-1)*e, and every lag run carves its arrays out
 # of it: the lag rows, S's entries, the channel planes, the kernel's
-# temporaries, the SINRs and _screen's arrays. So a run maps no fresh
-# pages, and the buffer is the call's: two calls in flight never share
-# one, and it is freed when the call ends. To keep it small, the lag build
-# adds its users up in as few groups as the buffer holds, and the kernel
-# factors S once and then solves for its users in groups (_Run.group_size).
-# Every operation is still one of the plain kernel, on the same operands,
-# so no value changes a bit. A batch scored row by row gets a buffer of its
-# own (_Run.rows).
-#
-# The screening pass. Where K > N > 2, multiuser.scan asks metric_profiles
-# to screen: its lag runs are scored in float32, off a complex64 table, and
-# each such row gets a float32 sum rate R~ and a bound D >= |R~ - R| on its
-# distance from the float64 value R (_screen derives it, in the run's
-# workspace). A screened chunk holds a level of up to 4 _CHUNK rows whole,
-# so such a level is one lag run and one _screen call. Every other row
-# (short runs, off-lattice rows) is scored in float64 as above. The scan
-# then scores in float64 every row that the bounds cannot rule out, so its
-# result is the one of scoring every row in float64. For K <= N the unit
-# eigenvalues of S leave the bound too loose to rule rows out, so those
-# scans, and every other caller, stay in float64.
+# temporaries and the SINRs. So a run maps no fresh pages, and the buffer
+# is the call's: two calls in flight never share one, and it is freed when
+# the call ends. To keep it small, the lag build adds its users up in as
+# few groups as the buffer holds; every operation is still one of the
+# plain kernel, on the same operands, so no value changes a bit. A batch
+# scored row by row gets a buffer of its own (_Run.rows). The screening
+# pass (screening) follows the same rule with a float32 workspace of its
+# own.
 
 def batch_sinr(H: np.ndarray, powers: LinkPowers, lower=None) -> np.ndarray:
     """Per-user SINRs for a batch of channel stacks.
 
     Args:
         H: complex array of shape (B, K, N); H[b, k] is user k's channel in
-            candidate b. complex64 is computed in float32 (the dtype rule
-            above); any other dtype is taken as complex128.
+            candidate b. complex64 goes through the screening kernel (the
+            dtype rule above); any other dtype is taken as complex128.
         powers: K link powers.
         lower: a lag run's _Run (the lag rule above): S's lower triangle,
             built from lag rows in the workspace of the metric_profiles
-            call, which the kernel then uses; None builds S from H.
+            call, which the kernel then uses; None builds S from H. For
+            complex64 H, a screening._Run.
 
     Returns:
         Real array of shape (B, K): float32 for complex64 H, else float64.
         For a lag run it is a view of the call's workspace.
     """
     H = np.asarray(H)
-    if H.dtype != np.complex64:
-        H = H.astype(np.complex128, copy=False)
     if H.ndim != 3 or H.shape[1] != powers.K:
         raise ValueError(f"expected channel stack (B, {powers.K}, N), got {H.shape}")
-    real = H.real.dtype
-    p = powers.p_bar.astype(real, copy=False)
-    B, K, N = H.shape
+    if H.dtype == np.complex64:
+        return screening.sinr(H.transpose(1, 2, 0), powers.p_bar.astype(np.float32), lower).T
+    H = H.astype(np.complex128, copy=False)
+    p, (B, K, N) = powers.p_bar, H.shape
     if K == 1:
         # C order: each row then sums the same way, whatever H's layout
         power = np.ascontiguousarray(np.abs(H[:, 0, :]) ** 2)
         return p[0] * power.sum(axis=1)[:, None]
     planes = H.transpose(1, 2, 0)
-    run = _Run.rows(planes, p) if lower is None else lower
-    # the first rows of the group temporaries x, y are _factor's xs, ys
-    _factor(run.Sr, run.Si, run.lr, run.li, *run.work[-2:, 0])
-    # 1 - p_k u_k > 0 analytically; the floor only guards fp rounding (and
-    # is float32's smallest normal number there)
-    floor = max(1e-300, float(np.finfo(real).tiny))
-    for a in range(0, K, run.g):
-        zr, zi, x, y = run.group(a, planes)
-        pu = np.multiply(p[a:a + len(x), None], _substitute(run.Sr, run.Si, zr, zi, x, y), zr[0])
-        gamma = np.divide(pu, np.maximum(np.subtract(1.0, pu, x), floor, out=x), x)
-        # C order, so that batch_sum_rate sums each row the same way
-        np.copyto(run.out[:, a:a + len(x)], gamma.T)
+    run = _Run.rows(planes, p) if lower is None else lower.load(planes)
+    zr, zi, x, y = list(run.work[:N]), list(run.work[N:2 * N]), *run.work[2 * N:]
+    _factor(run.Sr, run.Si, run.lr, run.li, x[0], y[0])
+    pu = np.multiply(p[:, None], _substitute(run.Sr, run.Si, zr, zi, x, y), zr[0])
+    # 1 - p_k u_k > 0 analytically; the floor only guards fp rounding
+    gamma = np.divide(pu, np.maximum(np.subtract(1.0, pu, x), 1e-300, out=x), x)
+    # C order, so that batch_sum_rate sums each row the same way
+    np.copyto(run.out, gamma.T)
     return run.out
 
 
@@ -197,60 +181,35 @@ class _Run:
     one flat buffer: a lag run's workspace (_lag_lower), or one allocated
     for the batch (rows).
 
-    Sr and Si hold S's lower triangle, and sjj, when set, its diagonal
-    j >= 1 before the kernel factors it. The kernel solves for the users in
-    groups of g, all in work: a group's channel planes, one (users, B) pair
-    per element, then its temporaries x and y. loaded is the first user of
-    the group whose planes work holds, and lr, li are _factor's
-    temporaries. out holds the (B, K) SINRs, and spare is the rest of the
-    buffer, free once they are out: _screen's.
+    Sr and Si hold S's lower triangle. work holds the channel planes, one
+    (K, B) pair per element, then the solve's temporaries x and y; lr, li
+    are _factor's temporaries, and out holds the (B, K) SINRs.
     """
 
-    def __init__(self, buf, K, N, B, g):
-        self.g, self.loaded, self.Sr, self.Si, self.sjj = g, None, None, None, None
-        self.out = buf[:K * B].reshape(B, K)
-        self.lr, self.li = buf[K * B:(K + 2) * B].reshape(2, B)
-        self.spare = buf[(K + 2) * B:]
-        self.work = self.spare[:2 * (N + 1) * g * B].reshape(2 * N + 2, g, B)
-        *planes, x, y = self.work
-        self.views = planes[:N], planes[N:], x, y  # a whole group's
+    def __init__(self, buf, K, N, B):
+        self.Sr = self.Si = None
+        self.out, self.lr, self.li, self.work = _carve(
+            buf, (B, K), (B,), (B,), (2 * N + 2, K, B))
 
     @staticmethod
-    def size(K, N, B, g):
+    def size(K, N, B):
         """The entries of a run's buffer."""
-        return (K + 2) * B + max(2 * (N + 1) * g * B, (K + 3) * B)
-
-    @staticmethod
-    def group_size(K, B, itemsize):
-        """Users per group: as many as keep a group's planes within the
-        bytes of K users' planes of _CHUNK float64 rows, and at least one."""
-        return max(1, min(K, K * 8 * _CHUNK // (B * itemsize)))
+        return (K + 2) * B + 2 * (N + 1) * K * B
 
     @classmethod
     def rows(cls, planes, p):
         """The run of (K, N, B) complex planes, with S built row by row."""
         K, N, B = planes.shape
-        run = cls(np.empty(cls.size(K, N, B, K), p.dtype), K, N, B, K)
-        zr, zi, _, _ = run.group(0, planes)
-        run.Sr, run.Si = _covariance_lower(zr, zi, p)
+        run = cls(np.empty(cls.size(K, N, B)), K, N, B).load(planes)
+        run.Sr, run.Si = _covariance_lower(run.work[:N], run.work[N:2 * N], p)
         return run
 
-    def group(self, a, planes):
-        """The channel planes (lists over the elements) and temporaries of
-        the group of users from a, its planes copied from the (K, N, B)
-        complex planes."""
-        zr, zi, x, y = self.views
-        g = min(self.g, len(planes) - a)
-        if g < self.g:
-            zr, zi = [z[:g] for z in zr], [z[:g] for z in zi]
-            x, y = x[:g], y[:g]
-        if self.loaded != a:
-            h = planes[a:a + g].transpose(1, 0, 2)
-            N = len(zr)
-            np.copyto(self.work[:N, :g], h.real)
-            np.copyto(self.work[N:2 * N, :g], h.imag)
-            self.loaded = a
-        return zr, zi, x, y
+    def load(self, planes):
+        """Copy the (K, N, B) complex planes into work; returns the run."""
+        h, N = planes.transpose(1, 0, 2), planes.shape[1]
+        np.copyto(self.work[:N], h.real)
+        np.copyto(self.work[N:2 * N], h.imag)
+        return self
 
 
 def _carve(buf, *shapes):
@@ -291,23 +250,22 @@ class _Workspace:
     """The buffer of one metric_profiles call's lag runs (the lag rule
     above), which every run reuses and which goes with the call. Sized once
     for runs of up to rows rows, whose lag rows span up to width table
-    positions, and whose kernel takes its users in groups of g."""
+    positions."""
 
-    def __init__(self, K, N, rows, width, real):
-        self.g = _Run.group_size(K, rows, np.dtype(real).itemsize)
+    def __init__(self, K, N, rows, width):
         self.buf = np.empty(2 * (N - 1) * width + (N - 1) ** 2 * rows
-                            + max(6 * width, _Run.size(K, N, rows, self.g)), real)
+                            + max(6 * width, _Run.size(K, N, rows)))
 
 
 def _lag_lower(tables, diag, p, j0, w, e, N, ws):
     """The _Run of w lattice rows at table positions j0, j0+1, ...
 
-    tables is the (K, T) element-channel table, diag its (T,) diagonal
-    R[0] + 1, p the powers in diag's dtype, e the table steps between
-    elements and ws the call's _Workspace, which the run's arrays are
-    carved from. Entry (j+m, j) of row b is R[m*e] at table
-    position j0 + b + j*e, so each lag row covers the run plus its
-    (N-1-m)*e overhang, and every entry is a slice of one.
+    tables is the (K, T) complex128 element-channel table, diag its (T,)
+    diagonal R[0] + 1, p the powers, e the table steps between elements and
+    ws the call's _Workspace, which the run's arrays are carved from. Entry
+    (j+m, j) of row b is R[m*e] at table position j0 + b + j*e, so each lag
+    row covers the run plus its (N-1-m)*e overhang, and every entry is a
+    slice of one.
     """
     K, width = len(p), w + (N - 1) * e
     # what S keeps comes first: the lag rows, and the (N-1)^2 entries that
@@ -345,8 +303,7 @@ def _lag_lower(tables, diag, p, j0, w, e, N, ws):
     for m in range(1, N):
         for j in range(N - m):
             Sr[j + m][j], Si[j + m][j] = lags[:, m - 1, j * e:j * e + w]
-    run = _Run(rest, K, N, w, ws.g)
-    run.sjj = [Sr[j][j] for j in range(1, N)]
+    run = _Run(rest, K, N, w)
     own = iter(own)
     for rows in (Sr, Si):
         for i in range(1, N):
@@ -360,7 +317,8 @@ def _lag_lower(tables, diag, p, j0, w, e, N, ws):
 
 def _lag_diagonal(tables, p):
     """R[0] + 1 = 1 + sum_k p_k |c_k|^2 over the table, users added in order;
-    p is in the dtype of the table's real part."""
+    p is in the dtype of the table's real part (float32 for a screening
+    pass's complex64 table)."""
     diag = None
     for pk, c in zip(p, tables):
         t = (pk * c.real) * c.real
@@ -438,10 +396,10 @@ def _substitute(L, Li, zr, zi, x, y):
 def batch_sum_rate(H: np.ndarray, powers: LinkPowers, lower=None):
     """Sum rates (bits/s/Hz) for a batch of channel stacks, shape (B,).
 
-    complex64 H, with K > 1, is the screening pass above: the result is
-    the pair (R~, D) of float32 arrays, the sum rates of the float32 SINRs
-    and a bound D >= |R~ - R| on their distance from the float64 sum rates
-    R (see _screen).
+    complex64 H, with K > 1, is the screening pass (see screening): the
+    result is the pair (R~, D) of float32 arrays, the sum rates of the
+    float32 SINRs and a bound D >= |R~ - R| on their distance from the
+    float64 sum rates R (see screening._screen).
     """
     H = np.asarray(H)
     if H.dtype != np.complex64:
@@ -451,9 +409,9 @@ def batch_sum_rate(H: np.ndarray, powers: LinkPowers, lower=None):
         raise ValueError("the screening bound needs K > 1")
     p = powers.p_bar.astype(np.float32)
     if lower is None:
-        lower = _Run.rows(H.transpose(1, 2, 0), p)
-        lower.sjj = [lower.Sr[j][j].copy() for j in range(1, len(lower.Sr))]
-    return _screen(batch_sinr(H, powers, lower), lower.Sr, lower.sjj, p, lower.spare)
+        lower = screening._rows(H.transpose(1, 2, 0), p)
+    return screening._screen(batch_sinr(H, powers, lower).T, lower.Sr, lower.sjj, p,
+                             lower.work)
 
 
 def batch_objective(H: np.ndarray, powers: LinkPowers, lower=None):
@@ -497,11 +455,12 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
     at that point.
 
     With screen (multiuser.scan's pass), each item is (eta, values, bounds).
-    Where K > N > 2 the table is complex64 and the lag runs are scored in
-    float32 (the screening pass above): their entries in values are R~,
-    and bounds holds their D, and 0 on the level's other rows, whose values
-    are objective_metric's. bounds is None where no row of the level was
-    screened: then every value is objective_metric's.
+    Where K > N > 2 the table is complex64 and the lag runs are scored by
+    the screening kernel, in a workspace of its own (see screening): their
+    entries in values are R~, and bounds holds their D, and 0 on the
+    level's other rows, whose values are objective_metric's. bounds is None
+    where no row of the level was screened: then every value is
+    objective_metric's.
     """
     y_values = np.asarray(y_values, dtype=np.float64)
     etas, B, N, K = list(etas), y_values.size, cfg.N, len(users)
@@ -542,8 +501,9 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
                 breaks = np.flatnonzero(np.diff(lat) != 1) + 1
     cuts = np.append(breaks, n_on)  # runs never mix lattice and off-lattice rows
     chunk = _CHUNK if exact else 4 * _CHUNK
-    ws = None if diag is None else _Workspace(
-        K, N, min(chunk, B), min(chunk, B) + (N - 1) * LATTICE_STEPS * max(etas) // s, p.dtype)
+    ws = None if diag is None else (_Workspace if exact else screening._Workspace)(
+        K, N, min(chunk, B), min(chunk, B) + (N - 1) * LATTICE_STEPS * max(etas) // s)
+    lag_lower = _lag_lower if exact else screening._lag_lower
     per = max(1, chunk // max(B, 1))  # whole levels per chunk; 1 when a level is cut
     for first in range(0, len(etas), per):
         group = range(first, min(first + per, len(etas)))
@@ -559,7 +519,7 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
                         continue
                     j0, w = int(lat[x]), z - x
                     got = batch_objective(_table_view(tables, j0, w, e, N), powers,
-                                          _lag_lower(tables, diag, p, j0, w, e, N, ws))
+                                          lag_lower(tables, diag, p, j0, w, e, N, ws))
                     if exact:
                         vals[i, x:z] = got
                     else:
@@ -575,117 +535,6 @@ def metric_profiles(y_values, etas, users, powers: LinkPowers, cfg: ArrayConfig,
         for i, lvl in enumerate(group):  # in the caller's row order
             yield (etas[lvl], vals[i][back],
                    None if spread[i] is None else spread[i][back])[:2 + screen]
-
-
-# u of the screening bound: float32's unit roundoff, plus float64's, which
-# bounds the rounding of the float64 value R by the same argument
-_U = 2.0 ** -24 + 2.0 ** -53
-
-
-def _screen(gammas, Sr, sjj, p, spare=None):
-    """(R~, D) of w float32 rows: R~ = sum_k log2(1 + gammas[:, k]), and
-    D >= |R~ - R|, where R is the row's float64 sum rate, or D = +inf.
-
-    gammas is batch_sinr's float32 (w, K) result, and Sr the real lower
-    triangle of S it factored in place: its diagonal holds the pivots d_j.
-    Both are overwritten. sjj[j - 1] holds S_jj before the factorization,
-    j = 1 ... N - 1; p are the float32 powers. spare, a flat float32
-    buffer of at least (K + 3) w entries, holds the temporaries and the
-    result; None allocates one.
-
-    The bound. Let u = _U, g_m = m u / (1 - m u), and S^ =
-    diag(S)^-1/2 S diag(S)^-1/2, whose diagonal is 1 and whose eigenvalues
-    lie in (0, N]. Scaled by sqrt(S_ii S_jj), a float32 row is exact for
-    S + E and channels rounded to h (1 + delta), |delta| <= u, but for its
-    last sums. Entry by entry (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3 and 10; a complex product in real arithmetic costs a
-    factor sqrt(2); |L| D |L^H| <= sqrt(S_ii S_jj) (1 + O(u)) by
-    Cauchy-Schwarz while every pivot is positive):
-      - rounding the table to complex64 moves S by (2 + u) u;
-      - a lag sum (p_k rounded, two products and an add per user, K users
-        added in order) errs by sqrt(2) g_{K+3};
-      - the unrolled LDL^H has L D L^H = S + E_1, |E_1| <= sqrt(2) g_{N+3}
-        |L| D |L^H|;
-      - the substitution solves (L + F) z = h, |F| <= sqrt(2) g_{N+1} |L|,
-        which moves L D L^H by 2 sqrt(2) g_{N+1} (1 + O(u)).
-    So |E^_ij| <= c_S u, c_S = 2 + sqrt(2) (K + 3N + 8), and ||E^||_2 <=
-    N c_S u. If ||E^|| <= r lambda, lambda = lambda_min(S^), then
-    h^H (S + E)^-1 h lies in [1/(1 + r), 1/(1 - r)] times h^H S^-1 h, and
-    the channel rounding moves sqrt(h^H S^-1 h) by u sqrt(N / lambda)
-    relative, so h^H S^-1 h by 3 u N / lambda. With c = c_S + 3 + 1 (the
-    1 covers second-order terms) and rho = c N u / lambda, x = p_k u_k and
-    the kernel's x~ thus satisfy |x - x~| <= eps x~ + tau, where
-    eps = (rho / (1 - rho) + g_{N+5}) / (1 - g_{N+5}): g_{N+5} covers the
-    sum over the pivots and the product by p_k. tau covers underflow: it
-    adds 2^-149 at most per operation, nothing against S, whose diagonal
-    is at least 1, and tau = N^4 (1 + max p) 2^-140 / lambda to x through
-    the substitution and the last sums.
-
-    lambda from the pivots: the matrix factored, scaled, has determinant
-    det = prod_j d_j / S_jj, and a positive definite matrix of trace N has
-    lambda_min >= det ((N - 1)/N)^(N - 1), as its other eigenvalues have a
-    product of at most (N/(N - 1))^(N - 1). Its trace and scaling differ
-    from S^'s by O(u), and the float32 ratios round 2N times: a factor
-    1 - b u, b = 2N (K + N + 8), covers them. By Weyl's inequality,
-    lambda >= lambda^ = det ((N - 1)/N)^(N - 1) (1 - b u) - c N u, so
-    rho / (1 - rho) <= c N u q, q = 1 / (lambda^ - c N u).
-
-    The rate. R_k = log2(1 + gamma_k) = -log2(1 - x), and the kernel
-    returns gamma~ = x~ / (1 - x~) (1 + theta), |theta| <= g_2. Then
-    (1 + gamma_k) / (1 + gamma~_k) lies within a factor (1 - a_k) (1 - g_2)
-    of 1, a_k = (eps gamma~_k + tau (1 + gamma~_k)) / (1 - g_2), so
-    |R_k - log2(1 + gamma~_k)| <= -log2(1 - a_k) - log2(1 - g_2)
-    <= (1/(1 - a_k) - 1) / ln 2 - log2(1 - g_2), and D sums that over the
-    users.
-
-    Arithmetic. D is evaluated in float32 where lambda^ >= 4 c N u: with
-    rho <= 1/4, tau <= N^4 (1 + max p) 2^-140 / (4 c N u), and each a_k is
-    within a relative 2^-18 of its value, so it is raised by that factor
-    before 1 - a_k, which then rounds exactly (Sterbenz) or by u. Raising
-    the user sum by 1 + 2^-16 and adding 2^-16 (K + R~) covers these
-    roundings, the cancellation in 1/(1 - a_k) - 1, those of R~ (float32
-    logs, which numpy tests to 3 ulp, summed in float32) and of R, and
-    the caller's R~ +- D in float64. D = +inf on every other row: a pivot
-    <= 0, rho > 1/4, some a_k >= 1, or a value that is not finite.
-    """
-    N, K, w = len(Sr), len(p), gammas.shape[0]
-    u, c = _U, 6.0 + np.sqrt(2.0) * (K + 3 * N + 8)
-    cnu, g2, gn = c * N * u, 2 * u / (1 - 2 * u), (N + 5) * u / (1 - (N + 5) * u)
-    lead = ((N - 1) / N) ** (N - 1) * (1 - 2 * N * (K + N + 8) * u)
-    tau = N ** 4 * (1 + float(p.max())) * 2.0 ** -140 / (4 * cnu) / (1 - g2)
-    # a_k = gamma~_k (q c1 + c0) + tau, with q = 1/(lambda^ - c N u) =
-    # 1/(lead (det - 2 c N u / lead)), each raised by 2^-18
-    c1 = cnu / ((1 - gn) * (1 - g2) * lead) * (1 + 2.0 ** -18)
-    c0 = (gn / (1 - gn) / (1 - g2) + tau) * (1 + 2.0 ** -18)
-    up = (1 + 2.0 ** -16) / np.log(2.0)
-    if spare is None:
-        spare = np.empty((K + 3) * w, gammas.dtype)
-    g, q, spread, rate = _carve(spare, (K, w), (w,), (w,), (w,))
-    np.copyto(g, gammas.T)  # (K, w): numpy loops over the rows
-    with np.errstate(all="ignore"):
-        det = Sr[1][1]
-        for j in range(1, N):
-            d = np.maximum(Sr[j][j], 0.0, out=Sr[j][j])
-            d /= sjj[j - 1]
-            if j > 1:
-                det *= d
-        det -= 2 * cnu / lead
-        # q c1 + c0, or +inf where rho > 1/4, that is lambda^ < 4 c N u
-        q.fill(np.inf)
-        np.divide(c1, det, out=q, where=det >= 3 * cnu / lead)
-        q += c0
-        a = np.multiply(g, q, out=g)
-        # 1/(1 - a_k), +inf where a_k >= 1
-        np.maximum(np.subtract(1 - tau * (1 + 2.0 ** -18), a, out=a), 0.0, out=a)
-        np.matmul(np.full(K, up, g.dtype), np.reciprocal(a, out=a), out=spread)
-        np.matmul(np.log2(np.add(gammas, 1, out=gammas), out=gammas), np.ones(K, g.dtype),
-                  out=rate)
-        spread += 2.0 ** -16 * rate
-        spread += K * (2.0 ** -16 - up - (1 + 2.0 ** -16) * np.log2(1 - g2))
-        bad = ~(spread < np.inf)
-    np.copyto(spread, np.inf, where=bad)
-    np.copyto(rate, 0.0, where=bad)
-    return rate, spread
 
 
 def _table_view(tables, j0, w, e, N):

@@ -291,12 +291,16 @@ def run_sweep(params: ScenarioParams, settings: OptimizerSettings,
     d_max = (COMPACT_D_MAX_ELEMENTS - 1) * d
     multiples = sorted(region_multiples)
     counts = sorted(element_counts)
+    cfgs = [(m, mult, replace(params, M=m, region=(0.0, mult * d_max)).array_config())
+            for m in counts for mult in multiples]
     records = []
     for t in range(trials):
         solutions: dict[tuple[int, float], tuple[float, int]] = {}
-        cells = [(m, mult, sample_scenario(
-            replace(params, M=m, region=(0.0, mult * d_max)), t))
-            for m in counts for mult in multiples]
+        # sample_scenario's draws depend on neither M nor the region: every
+        # cell is the trial's one draw with the cell's own array
+        drawn = sample_scenario(replace(params, M=counts[0],
+                                        region=(0.0, multiples[0] * d_max)), t)
+        cells = [(m, mult, replace(drawn, cfg=cfg)) for m, mult, cfg in cfgs]
         lattices = [None] * len(cells)
         first = cells[0][2]
         if "gma" in schemes and first.K > 1:

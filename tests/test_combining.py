@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from gma import arrays, combining, multiuser
+from gma import arrays, combining, multiuser, screening
 from gma.arrays import LATTICE_STEPS, ArrayConfig, PathSet, lattice_index
 from gma.combining import (LinkPowers, PointScores, batch_objective,
                            batch_sinr, batch_sum_rate, channel_stack,
@@ -498,8 +498,8 @@ class TestLagRows:
     def test_default_scan_takes_the_lag_path(self):
         sc = sample_scenario(ScenarioParams(), 0)
         cfg, etas = sc.cfg, sc.cfg.feasible_etas()
-        with mock.patch.object(combining, "_lag_lower",
-                               wraps=combining._lag_lower) as lag, \
+        with mock.patch.object(screening, "_lag_lower",
+                               wraps=screening._lag_lower) as lag, \
                 mock.patch.object(combining, "_covariance_lower",
                                   wraps=combining._covariance_lower) as rows, \
                 mock.patch.object(combining, "batch_sinr",
@@ -558,12 +558,14 @@ class TestLagRows:
 
     @pytest.mark.parametrize("screen", [False, True])
     def test_user_groups_keep_every_bit(self, screen):
-        # the kernel factors S once and solves for its users in groups;
-        # one user a group or all at once, every value and bound is the same
+        # the screening kernel factors S once and solves for its users in
+        # groups; one user a group or all at once, every value and bound is
+        # the same. The float64 kernel (screen=False) takes all users at
+        # once and reads no group size
         args = self.screened_instance(3, 6, 4, [1, 2, 3], 200)
-        with mock.patch.object(combining._Run, "group_size", return_value=1):
+        with mock.patch.object(screening._Run, "group_size", return_value=1):
             one = list(metric_profiles(*args, screen=screen))
-        with mock.patch.object(combining._Run, "group_size", return_value=6):
+        with mock.patch.object(screening._Run, "group_size", return_value=6):
             whole = list(metric_profiles(*args, screen=screen))
         assert [x[0] for x in one] == [x[0] for x in whole] == [1, 2, 3]
         assert all(np.array_equal(x, y) for a, b in zip(one, whole)

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -191,6 +191,31 @@ class TestRunCompare:
 
 
 class TestRunSweep:
+    def test_each_cell_is_its_own_params_scenario(self, monkeypatch):
+        # run_sweep draws each trial's scenario once; every cell must still
+        # be sample_scenario of the cell's own params, field by field
+        seen, real = [], experiments.run_trial_schemes
+        monkeypatch.setattr(experiments, "run_trial_schemes",
+                            lambda sc, *a, **k: seen.append(sc) or real(sc, *a, **k))
+        params = ScenarioParams(K=3, M=16, paths_per_user=2, p_tx_dbm=[5.0, 10.0, 15.0],
+                                seed=7)
+        counts, multiples = (8, 16), (1, 2)
+        run_sweep(params, SETTINGS, GRID, trials=2, region_multiples=multiples,
+                  element_counts=counts, schemes=("fpa",))
+        want = [sample_scenario(replace(params, M=m, region=(0.0, mult * 31 * params.d)), t)
+                for t in range(2) for m in counts for mult in multiples]
+        assert len(seen) == len(want) == 8
+        for got, ref in zip(seen, want):
+            assert [f.name for f in fields(got)] == \
+                ["users", "powers", "cfg", "user_positions", "seed", "trial"]
+            assert len(got.users) == len(ref.users) == 3
+            for a, b in zip(got.users, ref.users):
+                assert np.array_equal(a.gains, b.gains) and np.array_equal(a.aoas, b.aoas)
+            assert np.array_equal(got.powers.p_bar, ref.powers.p_bar)
+            assert got.cfg == ref.cfg
+            assert np.array_equal(got.user_positions, ref.user_positions)
+            assert (got.seed, got.trial) == (ref.seed, ref.trial)
+
     def test_per_trial_monotonicity_both_axes(self):
         params = ScenarioParams(K=2, M=16, paths_per_user=2, seed=11)
         records = run_sweep(params, SETTINGS, GRID, trials=2,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
-from gma import combining, multiuser
+from gma import combining, multiuser, screening
 from gma.arrays import ArrayConfig, PathSet
 from gma.baselines import exhaustive_search
 from gma.combining import LinkPowers, metric_profiles, objective_metric, point_values
@@ -427,13 +427,13 @@ def screened_rows(pts, etas, users, powers, cfg):
 
 
 def patched_bound(value):
-    """combining._screen with every D replaced by value."""
-    screen = combining._screen
+    """screening._screen with every D replaced by value."""
+    screen = screening._screen
 
     def patched(*args):
         rate, spread = screen(*args)
         return rate, np.full_like(spread, value)
-    return mock.patch.object(combining, "_screen", patched)
+    return mock.patch.object(screening, "_screen", patched)
 
 
 def flat_users(seed, K=5):
@@ -484,6 +484,24 @@ class TestScreening:
         for (etas, cfg), got, one in zip(problems, shared, alone):
             ref = per_level_scan(etas, step, sc.users, sc.powers, cfg)
             assert got == one == ref
+
+    @pytest.mark.parametrize("change", [{}, {"p_tx_dbm": 40.0}, {"K": 8}],
+                             ids=["10dBm", "40dBm", "K8"])
+    def test_bounds_hold_at_the_benchmark_shapes(self, change):
+        # trial 0 of the benchmark's scenario (default K = 5, N = 4, 10 dBm)
+        # and two variants: levels 1, 21 and 42 of the lambda/16 grid, each
+        # an 8,129-row lag run that the pass screens whole. The largest
+        # |R~ - R| / D here is about 0.005
+        sc = sample_scenario(ScenarioParams(seed=5, **change), 0)
+        cfg = sc.cfg
+        pts = position_grid(cfg.y_min, cfg.position_bounds(42)[1], WAVELENGTH / 16)
+        assert pts.size == 8129
+        rows = list(metric_profiles(pts, [1, 21, 42], sc.users, sc.powers, cfg, True))
+        assert [eta for eta, _, _ in rows] == [1, 21, 42]
+        for eta, vals, bounds in rows:
+            exact = point_values(pts, np.full(pts.size, eta), sc.users, sc.powers, cfg)
+            assert bounds is not None and np.all(bounds > 0)  # every row screened
+            assert np.all(np.abs(vals - exact) <= bounds)
 
     def test_unbounded_rows_are_all_scored_in_float64(self, monkeypatch):
         cfg, users, powers = seeded_instance(3)
